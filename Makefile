@@ -18,8 +18,9 @@ race:
 
 # race-par is the focused race pass over the packages that fan work
 # out across goroutines (chunk-parallel primitives, the table cache,
-# the batched-decryption pipeline). A subset of `race` — useful while
-# iterating on parallel code without paying for the full suite.
+# the dlr protocol layer that fans transports out across CPUs). A
+# subset of `race` — useful while iterating on parallel code without
+# paying for the full suite.
 race-par:
 	$(GO) test -race -count=1 ./internal/par ./internal/ff ./internal/bn254 ./internal/cache ./internal/dlr
 
@@ -32,11 +33,12 @@ race-server:
 
 # race-rotation is the cached-path rotation race gate: the rotation
 # storm and scheduler tests, the cold/pipelined epoch-invalidation
-# tests, and the cache-warm batch tests, all with the epoch-keyed table
-# cache attached (race-server's broader sweep spends most of its time
-# on uncached protocol tests). Run while iterating on rotation code.
+# tests, and the transport-table cache tests, all with the epoch-keyed
+# table cache attached (race-server's broader sweep spends most of its
+# time on uncached protocol tests). Run while iterating on rotation
+# code.
 race-rotation:
-	$(GO) test -race -count=1 -run 'TestRotation|TestServerRefresh|TestBatchCache' ./internal/server ./internal/dlr
+	$(GO) test -race -count=1 -run 'TestRotation|TestServerRefresh|TestTransportCache' ./internal/server ./internal/dlr
 
 vet:
 	$(GO) vet ./...

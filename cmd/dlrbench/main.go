@@ -6,28 +6,14 @@
 //	dlrbench -games 5                   # more attack games for E5
 //	dlrbench -baseline bench_baseline.json  # snapshot fast-path timings
 //	dlrbench -smoke bench_baseline.json     # fail if a hot op regressed >25%
-//	dlrbench -pipeline -workers 1,2,4 -reqs 128 -batch 16
-//	                                    # batched-decryption worker curve
-//	dlrbench -pipeline -workers 2 -tenants 3 -cache 4
-//	                                    # multi-tenant curve with a shared
-//	                                    # rotation-aware table cache (hit
-//	                                    # rates reported per point)
 //	dlrbench -server -clients 1,8,32 -perclient 2
-//	                                    # continuous-batching server curve:
-//	                                    # N concurrent single-request TCP
-//	                                    # clients, serial vs batch windows
+//	                                    # decrypt server curve: N concurrent
+//	                                    # single-request TCP clients
 //	dlrbench -rotate -cadences 100ms,30ms -clients 8 -perclient 4
 //	                                    # rotation-under-load sweep: the
 //	                                    # RefreshEvery scheduler rotates on
 //	                                    # each cadence while closed-loop
 //	                                    # clients decrypt, cold vs pipelined
-//
-// -cache N attaches an N-entry internal/cache LRU of batch pairing
-// tables to every tenant's P1; 0 (the default) runs uncached. -tenants
-// round-robins the request stream over that many independent DLR
-// instances, which is what makes capacity pressure visible: size the
-// cache below the tenant count and the hit rate collapses (see
-// docs/PERFORMANCE.md for sizing guidance).
 //
 // -cpuprofile and -memprofile write pprof profiles of whichever mode
 // runs, for digging into the hot loops the E13/E15 numbers summarize.
@@ -72,13 +58,7 @@ func main() {
 		games      = flag.Int("games", 1, "games per configuration in E5")
 		baseline   = flag.String("baseline", "", "write a JSON snapshot of the fast-path timings to this path (skips the table run)")
 		smoke      = flag.String("smoke", "", "compare current fast-path timings against this baseline JSON and exit non-zero on a >25% regression")
-		pipeline   = flag.Bool("pipeline", false, "drive the batched decryption pipeline and report req/s with p50/p99 latency")
-		workers    = flag.String("workers", "1,2,4", "comma-separated worker counts for -pipeline")
-		reqs       = flag.Int("reqs", 128, "total decryption requests per -pipeline point")
-		batchSize  = flag.Int("batch", 16, "requests per RunDecBatch call in -pipeline")
-		tenants    = flag.Int("tenants", 1, "independent DLR instances the -pipeline request stream round-robins over")
-		cacheCap   = flag.Int("cache", 0, "capacity of the shared rotation-aware table cache for -pipeline; 0 = uncached")
-		srv        = flag.Bool("server", false, "drive the batch-window decrypt server with concurrent single-request TCP clients, serial vs windows")
+		srv        = flag.Bool("server", false, "drive the batch-window decrypt server with concurrent single-request TCP clients")
 		rotate     = flag.Bool("rotate", false, "drive the server under sustained load while the rotation scheduler refreshes on each -cadences entry, cold vs pipelined")
 		cadences   = flag.String("cadences", "100ms,30ms", "comma-separated rotation cadences for -rotate")
 		clients    = flag.String("clients", "1,8,32", "comma-separated concurrent-client counts for -server")
@@ -113,21 +93,19 @@ func main() {
 		}()
 	}
 
-	if err := run(*exp, *games, *baseline, *smoke, *pipeline, *workers, *reqs, *batchSize, *tenants, *cacheCap, *srv, *rotate, *cadences, *clients, *perClient); err != nil {
+	if err := run(*exp, *games, *baseline, *smoke, *srv, *rotate, *cadences, *clients, *perClient); err != nil {
 		// log.Fatal would skip the profile-writing defers above.
 		log.Print(err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, games int, baseline, smoke string, pipeline bool, workers string, reqs, batchSize, tenants, cacheCap int, srv, rotate bool, cadences, clients string, perClient int) error {
+func run(exp string, games int, baseline, smoke string, srv, rotate bool, cadences, clients string, perClient int) error {
 	switch {
 	case baseline != "":
 		return writeBaseline(baseline)
 	case smoke != "":
 		return runSmoke(smoke)
-	case pipeline:
-		return runPipeline(workers, reqs, batchSize, tenants, cacheCap)
 	case srv:
 		return runServer(clients, perClient)
 	case rotate:
@@ -146,76 +124,24 @@ func run(exp string, games int, baseline, smoke string, pipeline bool, workers s
 	return nil
 }
 
-// runPipeline sweeps the batched decryption pipeline across the
-// requested worker counts and prints the req/s-vs-workers curve. With
-// -cache > 0 a shared table cache is attached and the per-point hit
-// rate is appended to each row.
-func runPipeline(workers string, reqs, batchSize, tenants, cacheCap int) error {
-	fmt.Printf("batched decryption pipeline: %d requests per point, batch=%d, tenants=%d, cache=%d, GOMAXPROCS=%d\n",
-		reqs, batchSize, tenants, cacheCap, runtime.GOMAXPROCS(0))
-	fmt.Printf("%-8s  %10s  %12s  %12s  %12s  %10s  %6s  %10s\n",
-		"workers", "req/s", "p50", "p99", "allocs/req", "KB/req", "GC", "pause")
-	var base float64
-	for _, field := range strings.Split(workers, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(field))
-		if err != nil {
-			return fmt.Errorf("pipeline: bad -workers entry %q: %w", field, err)
-		}
-		pt, err := bench.DecPipelineCfg(bench.PipelineConfig{
-			Workers: w, Requests: reqs, Batch: batchSize,
-			Tenants: tenants, CacheCap: cacheCap,
-		})
-		if err != nil {
-			return err
-		}
-		scale := ""
-		if base == 0 {
-			base = pt.ReqPerSec
-		} else {
-			scale = fmt.Sprintf("  (%.2fx vs 1 worker)", pt.ReqPerSec/base)
-		}
-		cacheCol := ""
-		if cacheCap > 0 {
-			cacheCol = fmt.Sprintf("  cache %3.0f%% hit (%d evictions)", 100*pt.CacheHitRate, pt.CacheEvictions)
-		}
-		fmt.Printf("%-8d  %10.1f  %12s  %12s  %12.0f  %10.1f  %6d  %10s%s%s\n",
-			pt.Workers, pt.ReqPerSec, pt.P50.Round(time.Microsecond), pt.P99.Round(time.Microsecond),
-			pt.AllocsPerReq, pt.BytesPerReq/1024, pt.GCCycles, pt.GCPause.Round(time.Microsecond), scale, cacheCol)
-	}
-	return nil
-}
-
 // runServer sweeps the batch-window decrypt server across the requested
-// concurrent-client counts, printing the serial one-request-per-round-
-// trip baseline next to the windowed path at each point.
+// concurrent-client counts.
 func runServer(clients string, perClient int) error {
 	fmt.Printf("batch-window decrypt server: %d request(s) per client, closed-loop over TCP\n", perClient)
-	fmt.Printf("%-8s  %-7s  %10s  %14s  %12s  %12s  %12s\n",
-		"clients", "mode", "req/s", "per-request", "mean window", "p50", "p99")
+	fmt.Printf("%-8s  %10s  %14s  %12s  %12s  %12s\n",
+		"clients", "req/s", "per-request", "mean window", "p50", "p99")
 	for _, field := range strings.Split(clients, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(field))
 		if err != nil {
 			return fmt.Errorf("server: bad -clients entry %q: %w", field, err)
 		}
-		serial, err := bench.E16SerialBaseline(n, 1)
+		pt, err := bench.E16WindowRun(n, perClient)
 		if err != nil {
 			return err
 		}
-		window, err := bench.E16WindowRun(n, perClient)
-		if err != nil {
-			return err
-		}
-		for _, pt := range []*bench.ServerPoint{serial, window} {
-			occ := "—"
-			if pt.Mode == "window" {
-				occ = fmt.Sprintf("%.1f", pt.MeanOccupancy)
-			}
-			fmt.Printf("%-8d  %-7s  %10.1f  %14s  %12s  %12s  %12s\n",
-				pt.Clients, pt.Mode, pt.ReqPerSec, pt.PerReq.Round(time.Microsecond),
-				occ, pt.P50.Round(time.Microsecond), pt.P99.Round(time.Microsecond))
-		}
-		fmt.Printf("%-8s  amortized improvement: %.1fx\n", "",
-			float64(serial.PerReq)/float64(window.PerReq))
+		fmt.Printf("%-8d  %10.1f  %14s  %12.1f  %12s  %12s\n",
+			pt.Clients, pt.ReqPerSec, pt.PerReq.Round(time.Microsecond),
+			pt.MeanOccupancy, pt.P50.Round(time.Microsecond), pt.P99.Round(time.Microsecond))
 	}
 	return nil
 }
@@ -265,12 +191,10 @@ func runRotate(cadences, clients string, perClient int) error {
 // allMeasurements gathers every fast-path timing pair: the E11 set
 // (wNAF vs reference ladder, multi-pairing, transport), the E12 set
 // (GLV/GLS vs wNAF, pairing tables vs cold Miller loops), the E13
-// set (Pippenger vs Straus, lazy tower vs reducing twins, batched vs
-// per-request decryption), the E15 set (chunk-parallel primitives
-// vs their serial paths, cached vs cold batch tables) and the E16
-// server row (serial vs batch-window amortized per-request cost at 32
-// concurrent clients) and the E17 rotation rows (cold vs prewarmed
-// first-post-rotation batch, full cold rotation vs commit-only stall).
+// set (Pippenger vs Straus, lazy tower vs reducing twins), the E15
+// set (chunk-parallel primitives vs their serial paths), the E17
+// rotation rows (cold vs prewarmed first post-rotation decryptions,
+// full cold rotation vs commit-only stall) and the E18 wire rows.
 func allMeasurements() ([]bench.FastPathMeasurement, error) {
 	meas, err := bench.FastPathMeasurements()
 	if err != nil {
@@ -288,10 +212,6 @@ func allMeasurements() ([]bench.FastPathMeasurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv, err := bench.E16Measurements()
-	if err != nil {
-		return nil, err
-	}
 	rot, err := bench.E17Measurements()
 	if err != nil {
 		return nil, err
@@ -301,7 +221,7 @@ func allMeasurements() ([]bench.FastPathMeasurement, error) {
 		return nil, err
 	}
 	out := append(append(append(meas, endo...), thr...), par...)
-	return append(append(append(out, srv...), rot...), wirefl...), nil
+	return append(append(out, rot...), wirefl...), nil
 }
 
 // writeBaseline snapshots the fast-path-vs-reference timings as JSON so

@@ -1,8 +1,8 @@
 // Command dlrserver runs the multiplexed batch-window decrypt daemon
 // (internal/server): many client sessions over one listener, all
 // concurrent decrypt requests coalesced into per-tenant batch windows,
-// each window drained through a single RunDecBatch round trip against
-// the device.
+// each request in a window decrypted through the two-party Dec
+// protocol — one round trip with the device per request.
 //
 //	dlrserver -pk keys/pk.bin -share keys/share1.bin \
 //	    -device 127.0.0.1:7700 -listen 127.0.0.1:7800
@@ -16,9 +16,7 @@
 // -batch and -window tune the scheduler: a window closes as soon as
 // -batch requests have coalesced, or -window after its first request —
 // whichever comes first (see docs/PERFORMANCE.md, "Batch-window
-// sizing"). -serial disables windowing and serves one request per
-// round trip, the baseline the E16 experiment measures against.
-// -refresh-every rotates every tenant's shares on that cadence through
+// sizing"). -refresh-every rotates every tenant's shares on that cadence through
 // the pipelined zero-stall path (next-epoch tables prewarmed while
 // serving continues; see docs/PERFORMANCE.md, "Rotation cadence
 // sizing"); -cold-refresh reverts to the serialized rotation that
@@ -58,7 +56,6 @@ func main() {
 		window     = flag.Duration("window", 2*time.Millisecond, "max wait for a window to fill")
 		queue      = flag.Int("queue", 0, "request queue depth before busy rejections (0 = 4×batch)")
 		cacheCap   = flag.Int("cache", 8, "rotation-aware pairing-table cache capacity (0 = uncached)")
-		serial     = flag.Bool("serial", false, "serve one request per round trip (no windows) — the E16 baseline")
 		refresh    = flag.Duration("refresh-every", 0, "rotate every tenant's shares on this cadence (0 = only on client request)")
 		coldRef    = flag.Bool("cold-refresh", false, "use the serialized (non-pipelined) rotation path — the E17 baseline")
 		debugAddr  = flag.String("debug", "", "serve /debug/vars (expvar metrics) on this address")
@@ -73,7 +70,6 @@ func main() {
 		Window:       *window,
 		QueueDepth:   *queue,
 		CacheCap:     *cacheCap,
-		Serial:       *serial,
 		RefreshEvery: *refresh,
 		ColdRefresh:  *coldRef,
 	})
@@ -121,12 +117,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen %s: %v", *listen, err)
 	}
-	mode := "windows"
-	if *serial {
-		mode = "serial"
-	}
-	log.Printf("decrypt server on %s (κ=%d, ℓ=%d, mode=%s, batch=%d, window=%s)",
-		ln.Addr(), pk.Params.Kappa, pk.Params.Ell, mode, *batch, *window)
+	log.Printf("decrypt server on %s (κ=%d, ℓ=%d, batch=%d, window=%s)",
+		ln.Addr(), pk.Params.Kappa, pk.Params.Ell, *batch, *window)
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)

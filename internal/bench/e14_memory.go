@@ -4,9 +4,11 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
+	"runtime"
 	"time"
 
 	"repro/internal/bn254"
+	"repro/internal/dlr"
 	"repro/internal/group"
 	"repro/internal/hpske"
 	"repro/internal/scalar"
@@ -15,11 +17,64 @@ import (
 // E14 measures the memory tier: steady-state heap traffic of the hot
 // operations after the limb/arena work (fixed-width exponent loops,
 // fixed-point GLV/GLS decomposition, pooled Pippenger arenas, in-place
-// pairing accumulators), and the GC pressure of the sustained batched
-// decryption pipeline. Acceptance criteria: Pair ≤ 200 allocs/op, the
+// pairing accumulators), and the GC pressure of sustained two-party
+// decryption. Acceptance criteria: Pair ≤ 200 allocs/op, the
 // κ=8 table-path transport ≤ 150 allocs/op, endomorphism scalar
 // multiplication allocation-free, and the 64-term Pippenger multi-exp
 // at or below the Straus tier's count.
+
+// e14DecRequests is how many decryptions the GC profile runs.
+const e14DecRequests = 24
+
+// decGC is the heap and collector cost of a run of decryptions.
+type decGC struct {
+	allocsPerReq, bytesPerReq float64
+	cycles                    uint32
+	pause                     time.Duration
+}
+
+// decGCProfile runs reqs sequential two-party decryptions (dlr.Decrypt,
+// transport tables already warm) on one DLR instance and reports the
+// serving phase's heap traffic per request and the collections it
+// triggered; key generation and encryption are excluded.
+func decGCProfile(reqs int) (*decGC, error) {
+	pk, p1, p2, err := dlr.Gen(rand.Reader, e13Params())
+	if err != nil {
+		return nil, err
+	}
+	ms := make([]*bn254.GT, reqs)
+	cs := make([]*dlr.Ciphertext, reqs)
+	for i := range cs {
+		if ms[i], err = dlr.RandMessage(rand.Reader, pk); err != nil {
+			return nil, err
+		}
+		if cs[i], err = dlr.Encrypt(rand.Reader, pk, ms[i], nil); err != nil {
+			return nil, err
+		}
+	}
+	if _, _, err := dlr.Decrypt(rand.Reader, p1, p2, cs[0]); err != nil { // warm the tables
+		return nil, err
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, c := range cs {
+		m, _, err := dlr.Decrypt(rand.Reader, p1, p2, c)
+		if err != nil {
+			return nil, err
+		}
+		if !m.Equal(ms[i]) {
+			return nil, fmt.Errorf("bench: E14 decrypted request %d wrong", i)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return &decGC{
+		allocsPerReq: float64(after.Mallocs-before.Mallocs) / float64(reqs),
+		bytesPerReq:  float64(after.TotalAlloc-before.TotalAlloc) / float64(reqs),
+		cycles:       after.NumGC - before.NumGC,
+		pause:        time.Duration(after.PauseTotalNs - before.PauseTotalNs),
+	}, nil
+}
 
 // e14Ops pairs each hot operation with the allocation-heavy tier it
 // replaced. Iteration counts stay tiny: allocation counts are
@@ -138,7 +193,7 @@ func kb(b float64) string {
 
 // E14Memory regenerates the memory-tier table: allocs/op and bytes/op
 // for each hot operation against its allocation-heavy twin, plus the
-// GC profile of the sustained decryption pipeline.
+// GC profile of sustained two-party decryption.
 func E14Memory() (*Table, error) {
 	meas, err := E14Measurements()
 	if err != nil {
@@ -158,13 +213,13 @@ func E14Memory() (*Table, error) {
 			kb(m.RefBytesPerOp),
 		})
 	}
-	pt, err := DecPipeline(1, 48, 12)
+	gc, err := decGCProfile(e14DecRequests)
 	if err != nil {
 		return nil, err
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("pipeline (1 worker, %d reqs, batch=%d): %.0f allocs/req, %s/req, %d GC cycle(s), %s total pause",
-			pt.Requests, pt.Batch, pt.AllocsPerReq, kb(pt.BytesPerReq), pt.GCCycles, pt.GCPause.Round(time.Microsecond)),
+		fmt.Sprintf("sustained Dec (%d sequential two-party decryptions): %.0f allocs/req, %s/req, %d GC cycle(s), %s total pause",
+			e14DecRequests, gc.allocsPerReq, kb(gc.bytesPerReq), gc.cycles, gc.pause.Round(time.Microsecond)),
 		"criterion: Pair ≤ 200 allocs/op; table-path Transport(κ=8) ≤ 150 allocs/op",
 		"criterion: GLV/GLS scalar multiplication and GT.Exp allocation-free in steady state",
 		"criterion: 64-term Pippenger multi-exp allocates no more than the Straus tier",

@@ -8,21 +8,16 @@ import (
 	"time"
 
 	"repro/internal/bn254"
-	"repro/internal/cache"
-	"repro/internal/dlr"
 	"repro/internal/ff"
 	"repro/internal/scalar"
 )
 
 // E15 measures the parallel tier: chunk-parallel primitives
 // (window-parallel Pippenger, chunked MultiPair/PairBatch, segmented
-// batch inversion) against the serial paths they gate behind, the
-// rotation-aware table cache against cold per-batch table builds, and
-// the worker/tenant/capacity behaviour of the cached decryption
-// pipeline. Acceptance criteria: on a multi-core host the parallel
-// primitives reach ≥ 1.5× at the sizes below while every small-input
-// alloc gate stays on the serial path; a warm cache removes the
-// per-batch table build from RunDecBatch entirely.
+// batch inversion) against the serial paths they gate behind.
+// Acceptance criterion: on a multi-core host the parallel primitives
+// reach ≥ 1.5× at the sizes below while every small-input alloc gate
+// stays on the serial path.
 //
 // The serial reference pins GOMAXPROCS(1) — the same dispatchers then
 // route through the serial code — and the parallel side runs at
@@ -55,7 +50,6 @@ const (
 	e15MultiExpG2 = 256 // → 1024 post-GLS bases
 	e15Pairs      = 16  // → 4 lockstep chunks of 4
 	e15InvBatch   = 4096
-	e15CacheBatch = 8
 )
 
 func e15Ops() ([]fpOp, error) {
@@ -126,79 +120,6 @@ func e15Ops() ([]fpOp, error) {
 	}, nil
 }
 
-// cachedBatchMeasurement times RunDecBatch with the table cache cold
-// (entry invalidated before every run, so the κ+1 pairing tables are
-// rebuilt) against warm (tables replayed from the cache), amortized
-// per request. The warm-minus-cold gap is exactly the per-batch
-// NewPairingTable cost the cache removes.
-//
-// Every timed pass runs on its own P1 restored from serialized state:
-// a live instance installs an in-struct batch session after its first
-// batch, after which neither pass would touch the cache at all —
-// restored instances are the restart scenario the cache serves, and
-// they keep both sides on the cache path. The restores happen outside
-// the timed region.
-func cachedBatchMeasurement() (FastPathMeasurement, error) {
-	var zero FastPathMeasurement
-	pk, p1, p2, err := dlr.Gen(rand.Reader, e13Params())
-	if err != nil {
-		return zero, err
-	}
-	c := cache.New(4)
-	const tenant = "e15"
-	p1.AttachCache(c, tenant)
-	cs := make([]*dlr.Ciphertext, e15CacheBatch)
-	for i := range cs {
-		m, err := dlr.RandMessage(rand.Reader, pk)
-		if err != nil {
-			return zero, err
-		}
-		if cs[i], err = dlr.Encrypt(rand.Reader, pk, m, nil); err != nil {
-			return zero, err
-		}
-	}
-	const iters = 4
-	raw, err := p1.Marshal()
-	if err != nil {
-		return zero, err
-	}
-	// 2·iters instances per side: timeN and memN each run their passes.
-	pool := make([]*dlr.P1, 4*iters+1)
-	for i := range pool {
-		q, err := dlr.UnmarshalP1(pk, raw, nil)
-		if err != nil {
-			return zero, err
-		}
-		q.AttachCache(c, tenant)
-		pool[i] = q
-	}
-	next := 0
-	run := func() {
-		q := pool[next]
-		next++
-		if _, _, err := dlr.DecryptBatch(q, p2, cs); err != nil {
-			panic(err)
-		}
-	}
-	cold := func() { c.InvalidateTenant(tenant); run() }
-	run() // publish the epoch's tables for the warm-side passes
-	refNs := timeN(cold, iters) / e15CacheBatch
-	fastNs := timeN(run, iters) / e15CacheBatch
-	refAllocs, refBytes := memN(cold, iters)
-	fastAllocs, fastBytes := memN(run, iters)
-	return FastPathMeasurement{
-		Op:              fmt.Sprintf("DLR.DecBatch(%d) tables (cold→cached, amortized)", e15CacheBatch),
-		Iters:           iters,
-		RefNsPerOp:      refNs,
-		FastNsPerOp:     fastNs,
-		Speedup:         refNs / fastNs,
-		RefAllocsPerOp:  refAllocs / e15CacheBatch,
-		FastAllocsPerOp: fastAllocs / e15CacheBatch,
-		RefBytesPerOp:   refBytes / e15CacheBatch,
-		FastBytesPerOp:  fastBytes / e15CacheBatch,
-	}, nil
-}
-
 // E15Measurements times the parallel-tier operations against their
 // serial twins — the data behind the E15 table and the parallel rows
 // of bench_baseline.json.
@@ -211,17 +132,11 @@ func E15Measurements() ([]FastPathMeasurement, error) {
 		op.ref()
 		op.fast()
 	}
-	out := measureOps(ops)
-	cached, err := cachedBatchMeasurement()
-	if err != nil {
-		return nil, err
-	}
-	return append(out, cached), nil
+	return measureOps(ops), nil
 }
 
 // E15Parallel regenerates the parallel-tier table: primitive
-// serial-vs-parallel timings, the cached pipeline's worker curve, and
-// the cache hit-rate sweep across tenants and capacities.
+// serial-vs-parallel timings.
 func E15Parallel() (*Table, error) {
 	meas, err := E15Measurements()
 	if err != nil {
@@ -229,8 +144,8 @@ func E15Parallel() (*Table, error) {
 	}
 	t := &Table{
 		ID:     "E15",
-		Title:  "parallel tier: chunked primitives, rotation-aware table cache, cached pipeline",
-		Header: []string{"operation", "serial/cold", "parallel/cached", "speedup"},
+		Title:  "parallel tier: chunked primitives",
+		Header: []string{"operation", "serial", "parallel", "speedup"},
 	}
 	for _, m := range meas {
 		t.Rows = append(t.Rows, []string{
@@ -240,37 +155,8 @@ func E15Parallel() (*Table, error) {
 			fmt.Sprintf("%.2fx", m.Speedup),
 		})
 	}
-
-	// Worker curve of the cached single-tenant pipeline (the E13 curve
-	// with the table cache attached).
-	for _, w := range []int{1, 2, 4} {
-		pt, err := DecPipelineCfg(PipelineConfig{Workers: w, Requests: 48, Batch: 12, CacheCap: 4})
-		if err != nil {
-			return nil, err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"pipeline: %d worker(s) → %.1f req/s (batch=%d, p50 %s, p99 %s, cache hit rate %.0f%%)",
-			pt.Workers, pt.ReqPerSec, pt.Batch,
-			ms(pt.P50), ms(pt.P99), 100*pt.CacheHitRate))
-	}
-
-	// Hit-rate sweep: 3 tenants interleaved batch-by-batch through one
-	// shared cache. Capacity 1 thrashes (every batch a different
-	// tenant evicts the survivor); capacity ≥ tenants converges to one
-	// miss per tenant.
-	for _, capacity := range []int{1, 3} {
-		pt, err := DecPipelineCfg(PipelineConfig{Workers: 2, Requests: 36, Batch: 6, Tenants: 3, CacheCap: capacity})
-		if err != nil {
-			return nil, err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"cache sweep: tenants=3 capacity=%d → hit rate %.0f%% (%d hits / %d misses, %d evictions)",
-			capacity, 100*pt.CacheHitRate, pt.CacheHits, pt.CacheMisses, pt.CacheEvictions))
-	}
-
 	t.Notes = append(t.Notes,
 		"criterion: on ≥ 2 cores the parallel primitives reach ≥ 1.5× at the sizes above; small inputs stay on the serial zero-allocation paths (alloc gates in TestMultiExpPippengerAlloc et al.)",
-		"criterion: a warm cache removes the per-batch table build (the cold→cached row) and a rotation always invalidates (TestBatchCacheRefreshInvalidates)",
 		fmt.Sprintf("measured at GOMAXPROCS=%d on %d CPU(s); with a single CPU the parallel timings measure dispatch overhead, not speedup — the code paths still run and are race-checked", e15Procs(), runtime.NumCPU()),
 		"parallel paths are differentially tested against their serial twins (parallel_test.go, batchpar_test.go) under GOMAXPROCS(4)",
 	)

@@ -12,29 +12,27 @@ import (
 	"repro/internal/server"
 )
 
-// E16 measures cross-connection continuous batching: N concurrent
+// E16 measures the multiplexed decrypt server: N concurrent
 // single-request clients drive real TCP sessions against the
-// internal/server daemon, once through the serial one-request-per-
-// round-trip path and once through the adaptive batch windows. The
-// clients are closed-loop (each sends its next request only after its
-// previous answer), so every window's occupancy is earned by genuine
-// concurrency, not by a pre-batched caller. Acceptance criterion:
-// ≥10× amortized per-request improvement at 32 concurrent clients.
+// internal/server daemon, whose adaptive batch windows drain every
+// request through the two-party Dec protocol. The clients are
+// closed-loop (each sends its next request only after its previous
+// answer), so every window's occupancy is earned by genuine
+// concurrency, not by a pre-batched caller.
 
 // e16WindowWait is the batch-window deadline the E16 server runs with —
 // long enough that closed-loop clients re-arrive within the window on a
 // loaded 1-CPU box, short enough to stay honest as a latency bound.
 const e16WindowWait = 10 * time.Millisecond
 
-// ServerPoint is one measured (mode, concurrency) cell of E16.
+// ServerPoint is one measured concurrency cell of E16.
 type ServerPoint struct {
-	Mode      string // "serial" or "window"
 	Clients   int
 	Requests  int
 	Wall      time.Duration
 	PerReq    time.Duration // amortized: Wall / Requests
 	ReqPerSec float64
-	// Window-scheduler shape for the run (zero in serial mode).
+	// Window-scheduler shape for the run.
 	Windows       uint64
 	MeanOccupancy float64
 	P50, P99      time.Duration
@@ -44,16 +42,18 @@ type ServerPoint struct {
 	FramesIn, FramesOut uint64
 }
 
-// serverRun stands up a fresh DLR instance behind a batch-window (or
-// serial) server on a loopback listener, drives it with `clients`
-// concurrent single-request sessions issuing perClient requests each,
-// verifies every plaintext, and reports the amortized cost.
-func serverRun(cfg server.Config, clients, perClient int) (*ServerPoint, error) {
+// E16WindowRun stands up a fresh DLR instance behind a batch-window
+// server on a loopback listener — windows close at 32 requests or
+// e16WindowWait, with a table cache attached — drives it with
+// `clients` concurrent single-request sessions issuing perClient
+// requests each, verifies every plaintext, and reports the amortized
+// cost. Exported for the dlrbench -server sweep.
+func E16WindowRun(clients, perClient int) (*ServerPoint, error) {
 	pk, p1, p2, err := dlr.Gen(rand.Reader, e13Params())
 	if err != nil {
 		return nil, err
 	}
-	s := server.New(cfg)
+	s := server.New(server.Config{BatchSize: 32, Window: e16WindowWait, CacheCap: 4})
 	if err := s.RegisterLocal("e16", p1, p2); err != nil {
 		return nil, err
 	}
@@ -123,13 +123,8 @@ func serverRun(cfg server.Config, clients, perClient int) (*ServerPoint, error) 
 		return nil, firstErr
 	}
 
-	mode := "window"
-	if cfg.Serial {
-		mode = "serial"
-	}
 	snap := s.Metrics().Snapshot()
 	return &ServerPoint{
-		Mode:          mode,
 		Clients:       clients,
 		Requests:      total,
 		Wall:          wall,
@@ -146,96 +141,31 @@ func serverRun(cfg server.Config, clients, perClient int) (*ServerPoint, error) 
 	}, nil
 }
 
-// e16WindowCfg is the batch-window configuration E16 measures: windows
-// close at 32 requests or after e16WindowWait, with a table cache so
-// consecutive windows of one epoch share pairing tables.
-func e16WindowCfg() server.Config {
-	return server.Config{BatchSize: 32, Window: e16WindowWait, CacheCap: 4}
-}
-
-// E16SerialBaseline measures the one-request-per-round-trip server path
-// at the given concurrency. Exported for the dlrbench -server sweep.
-func E16SerialBaseline(clients, perClient int) (*ServerPoint, error) {
-	return serverRun(server.Config{Serial: true, CacheCap: 4}, clients, perClient)
-}
-
-// E16WindowRun measures the batch-window server path at the given
-// concurrency. Exported for the dlrbench -server sweep.
-func E16WindowRun(clients, perClient int) (*ServerPoint, error) {
-	return serverRun(e16WindowCfg(), clients, perClient)
-}
-
-// E16Measurements produces the baseline-JSON rows for the server path:
-// the amortized per-request cost of 32 concurrent single-request
-// clients through the batch windows, against the same offered load
-// through the serial path.
-func E16Measurements() ([]FastPathMeasurement, error) {
-	serial, err := E16SerialBaseline(32, 1)
-	if err != nil {
-		return nil, err
-	}
-	window, err := E16WindowRun(32, 2)
-	if err != nil {
-		return nil, err
-	}
-	ref := float64(serial.PerReq.Nanoseconds())
-	fast := float64(window.PerReq.Nanoseconds())
-	return []FastPathMeasurement{{
-		Op:          "DLR.Dec server (serial→window, 32 clients, amortized)",
-		Iters:       serial.Requests,
-		RefNsPerOp:  ref,
-		FastNsPerOp: fast,
-		Speedup:     ref / fast,
-	}}, nil
-}
-
-// E16Server regenerates the E16 table: the serial-vs-window amortized
-// cost at 1, 8 and 32 concurrent single-request clients.
+// E16Server regenerates the E16 table: throughput, window occupancy
+// and latency at 1, 8 and 32 concurrent single-request clients.
 func E16Server() (*Table, error) {
 	t := &Table{
 		ID:     "E16",
-		Title:  "continuous batching: multiplexed decrypt server, serial vs batch windows",
-		Header: []string{"clients", "mode", "req/s", "per-request", "mean window", "p50", "p99"},
+		Title:  "multiplexed decrypt server: batch windows drained through two-party Dec",
+		Header: []string{"clients", "req/s", "per-request", "mean window", "p50", "p99"},
 	}
-	var serialPerReq, windowPerReq time.Duration
 	for _, clients := range []int{1, 8, 32} {
 		perClient := 2
 		if clients == 1 {
 			perClient = 4
 		}
-		// The serial baseline is the expensive side; one request per
-		// client bounds its runtime while keeping the offered
-		// concurrency identical.
-		serial, err := E16SerialBaseline(clients, 1)
+		pt, err := E16WindowRun(clients, perClient)
 		if err != nil {
 			return nil, err
 		}
-		window, err := E16WindowRun(clients, perClient)
-		if err != nil {
-			return nil, err
-		}
-		if clients == 32 {
-			serialPerReq, windowPerReq = serial.PerReq, window.PerReq
-		}
-		for _, pt := range []*ServerPoint{serial, window} {
-			occ := "—"
-			if pt.Mode == "window" {
-				occ = fmt.Sprintf("%.1f", pt.MeanOccupancy)
-			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", pt.Clients), pt.Mode,
-				fmt.Sprintf("%.1f", pt.ReqPerSec),
-				ms(pt.PerReq), occ, ms(pt.P50), ms(pt.P99),
-			})
-		}
-	}
-	if windowPerReq > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"32 concurrent single-request clients: %.1f× amortized per-request improvement (serial %s → window %s)",
-			float64(serialPerReq)/float64(windowPerReq), ms(serialPerReq), ms(windowPerReq)))
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%d", pt.Clients),
+			fmt.Sprintf("%.1f", pt.ReqPerSec),
+			ms(pt.PerReq), fmt.Sprintf("%.1f", pt.MeanOccupancy), ms(pt.P50), ms(pt.P99),
+		})
 	}
 	t.Notes = append(t.Notes,
-		"criterion: ≥10× amortized per-request improvement at 32 concurrent clients",
+		"every request is one dlr.RunDec round trip with P2",
 		"clients are closed-loop over real TCP sessions; window occupancy is earned by concurrency, not pre-batched callers",
 		fmt.Sprintf("window scheduler: batch=32, deadline=%s, epoch-keyed table cache attached", e16WindowWait),
 	)

@@ -15,29 +15,29 @@ import (
 
 // E17 measures zero-stall rotation: what an epoch boundary costs with
 // the cold path (RunRef + BeginPeriod serialized against serving,
-// every table rebuilt by the first post-rotation batch) against the
+// every table rebuilt by the first post-rotation request) against the
 // pipelined path (next-epoch state staged and tables prewarmed
 // concurrently with serving, only the commit round trip on the
 // serving loop). Two layers are measured:
 //
-//   - dlr layer: the first post-rotation batch's latency against the
-//     steady-state warm batch, and the rotation's serving stall (full
-//     cold rotation vs commit-only).
+//   - dlr layer: the first post-rotation decryptions' latency against
+//     the steady state, and the rotation's serving stall (full cold
+//     rotation vs commit-only).
 //   - server layer: sustained closed-loop load over TCP while the
 //     RefreshEvery scheduler rotates on a cadence — the p99 across
 //     epoch boundaries and the per-rotation stall gauges.
 //
-// Acceptance criterion: the prewarmed first-post-rotation batch lands
-// within 25% of steady state, where the cold path spikes by a
-// multiple; the pipelined serving stall is the commit round trip only.
+// Acceptance criterion: the prewarmed first post-rotation decryptions
+// land within 25% of steady state, where the cold path pays the table
+// rebuild; the pipelined serving stall is the commit round trip only.
 
-// e17Batch is the batch size of the dlr-layer rotation measurements.
+// e17Batch is how many decryptions each dlr-layer measurement runs.
 const e17Batch = 8
 
 // e17Rounds is how many rotations each dlr-layer side averages over.
 const e17Rounds = 4
 
-// e17Instance builds one DLR instance with an encrypted test batch.
+// e17Instance builds one DLR instance with e17Batch encrypted messages.
 func e17Instance() (*dlr.P1, *dlr.P2, []*dlr.Ciphertext, []*bn254.GT, error) {
 	pk, p1, p2, err := dlr.Gen(rand.Reader, e13Params())
 	if err != nil {
@@ -57,14 +57,14 @@ func e17Instance() (*dlr.P1, *dlr.P2, []*dlr.Ciphertext, []*bn254.GT, error) {
 }
 
 // RotationPoint is the dlr-layer E17 measurement: per-request latency
-// of the steady-state batch and of the first batch after each rotation
-// path, plus the serving stall each rotation path imposes.
+// in the steady state and of the first e17Batch decryptions after each
+// rotation path, plus the serving stall each rotation path imposes.
 type RotationPoint struct {
-	// SteadyNs is the warm (in-session) batch, per request.
+	// SteadyNs is a decryption with warm tables.
 	SteadyNs float64
-	// ColdFirstNs / WarmFirstNs are the first post-rotation batch per
-	// request: after a cold rotation (tables rebuilt) and after a
-	// pipelined rotation (tables prewarmed at commit).
+	// ColdFirstNs / WarmFirstNs are the first e17Batch post-rotation
+	// decryptions per request: after a cold rotation (tables rebuilt)
+	// and after a pipelined rotation (tables prewarmed at commit).
 	ColdFirstNs float64
 	WarmFirstNs float64
 	// ColdStallNs is the serving stall of a cold rotation (RunRef +
@@ -76,15 +76,16 @@ type RotationPoint struct {
 	StageNs       float64
 }
 
-// e17Decrypt runs one batch and verifies the plaintexts.
+// e17Decrypt runs the two-party Dec protocol on every ciphertext and
+// verifies the plaintexts.
 func e17Decrypt(p1 *dlr.P1, p2 *dlr.P2, cs []*dlr.Ciphertext, ms []*bn254.GT) error {
-	got, _, err := dlr.DecryptBatch(p1, p2, cs)
-	if err != nil {
-		return err
-	}
-	for i := range ms {
-		if !got[i].Equal(ms[i]) {
-			return fmt.Errorf("bench: E17 batch decrypted wrong at %d", i)
+	for i, c := range cs {
+		got, _, err := dlr.Decrypt(rand.Reader, p1, p2, c)
+		if err != nil {
+			return err
+		}
+		if !got.Equal(ms[i]) {
+			return fmt.Errorf("bench: E17 decrypted wrong at %d", i)
 		}
 	}
 	return nil
@@ -97,7 +98,7 @@ func E17RotationPoint() (*RotationPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e17Decrypt(p1, p2, cs, ms); err != nil { // install the session
+	if err := e17Decrypt(p1, p2, cs, ms); err != nil { // build the tables
 		return nil, err
 	}
 	pt := &RotationPoint{}
@@ -108,7 +109,7 @@ func E17RotationPoint() (*RotationPoint, error) {
 	}, e17Rounds) / e17Batch
 
 	// Cold rotations: the serialized path, then the rebuild-paying
-	// first batch.
+	// first decryptions.
 	var coldStall, coldFirst time.Duration
 	for r := 0; r < e17Rounds; r++ {
 		start := time.Now()
@@ -129,7 +130,7 @@ func E17RotationPoint() (*RotationPoint, error) {
 	pt.ColdFirstNs = float64(coldFirst.Nanoseconds()) / (e17Rounds * e17Batch)
 
 	// Pipelined rotations: staging off the serving path, commit on it,
-	// then the prewarmed first batch.
+	// then the prewarmed first decryptions.
 	var stage, commit, warmFirst time.Duration
 	for r := 0; r < e17Rounds; r++ {
 		start := time.Now()
@@ -273,8 +274,8 @@ func E17ServerRun(cadence time.Duration, cold bool, clients, perClient int) (*Ro
 }
 
 // E17Measurements produces the baseline-JSON rows for the rotation
-// pipeline: the first-post-rotation batch (cold rebuild vs prewarmed)
-// and the serving stall (full cold rotation vs commit-only).
+// pipeline: the first post-rotation decryptions (cold rebuild vs
+// prewarmed) and the serving stall (full cold rotation vs commit-only).
 func E17Measurements() ([]FastPathMeasurement, error) {
 	pt, err := E17RotationPoint()
 	if err != nil {
@@ -282,7 +283,7 @@ func E17Measurements() ([]FastPathMeasurement, error) {
 	}
 	return []FastPathMeasurement{
 		{
-			Op:          fmt.Sprintf("DLR.DecBatch(%d) first post-rotation (cold→prewarmed, amortized)", e17Batch),
+			Op:          fmt.Sprintf("DLR.Dec x%d first post-rotation (cold→prewarmed, per request)", e17Batch),
 			Iters:       e17Rounds,
 			RefNsPerOp:  pt.ColdFirstNs,
 			FastNsPerOp: pt.WarmFirstNs,
@@ -315,7 +316,7 @@ func E17Rotation() (*Table, error) {
 	warmFirst := time.Duration(pt.WarmFirstNs)
 	t.Rows = append(t.Rows,
 		[]string{
-			fmt.Sprintf("first post-rotation batch(%d), per request", e17Batch),
+			fmt.Sprintf("first %d post-rotation decryptions, per request", e17Batch),
 			fmt.Sprintf("%s (%.1fx steady)", ms(coldFirst), pt.ColdFirstNs/pt.SteadyNs),
 			fmt.Sprintf("%s (%.2fx steady)", ms(warmFirst), pt.WarmFirstNs/pt.SteadyNs),
 			fmt.Sprintf("%.1fx", pt.ColdFirstNs/pt.WarmFirstNs),
@@ -328,9 +329,9 @@ func E17Rotation() (*Table, error) {
 		},
 	)
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("steady-state warm batch: %s per request; prewarm staging (off the serving path): %s per rotation",
+		fmt.Sprintf("steady state: %s per decryption; prewarm staging (off the serving path): %s per rotation",
 			ms(steady), ms(time.Duration(pt.StageNs))),
-		"criterion: the prewarmed first-post-rotation batch lands within 25% of steady state; the cold path pays the full table rebuild",
+		"criterion: the prewarmed first post-rotation decryptions land within 25% of steady state; the cold path pays the full table rebuild",
 	)
 
 	// Server-level: rotation under sustained load, steady reference

@@ -1,19 +1,19 @@
 // Package cache provides a capacity-bounded, rotation-aware LRU for
-// pairing precomputation artifacts: bn254.PairingTable sets, transport
-// tables, and fixed-base comb tables are expensive to build (κ+1 cold
-// Miller loops for a transport table) but deterministic functions of a
-// share state, so they can be reused across requests — until the next
-// proactive refresh replaces that share state.
+// pairing precomputation artifacts: the dlr transport tables (one
+// Miller-loop line table set per encrypted-share ciphertext) are
+// expensive to build — κ+1 cold Miller precomputations per ciphertext —
+// but deterministic functions of a share state, so they can be reused
+// across P1 instances until the next proactive refresh replaces that
+// share state.
 //
 // # Why keys carry an epoch
 //
-// The continual-leakage model makes stale precomputation a soundness
-// bug, not just a staleness bug: a table derived from a pre-refresh
-// share is a function of secret material the protocol has already
-// rotated away, and replaying it after the rotation both decrypts
-// against the wrong key (correctness) and extends the lifetime of
-// supposedly-retired secret-derived state (leakage hygiene — the same
-// reason the refresh paths call Zeroize on retired key material).
+// The tables are built from P1's encrypted share, which is public
+// memory (it transits the public channel anyway), so a cached table
+// holds nothing the leakage adversary does not already see. A stale
+// table is still a correctness bug: replayed after a rotation it
+// transports against ciphertexts P2 no longer holds the matching share
+// for, and the decryption comes out wrong.
 //
 // The design therefore does NOT rely on eager invalidation for
 // correctness. Every key carries the owner's rotation epoch, and the
@@ -28,7 +28,7 @@
 // # Future-epoch prewarming
 //
 // The epoch keying also gives prewarming for free: a refresh pipeline
-// may Put entries under (tenant, epoch+1, kind) while the owner is
+// may Put entries under (tenant, epoch+1) while the owner is
 // still serving at epoch. Those entries are unaddressable until the
 // owner actually commits the rotation — every lookup is keyed by the
 // owner's *current* epoch counter, and the counter only advances at
@@ -52,15 +52,12 @@ import (
 	"sync"
 )
 
-// Key identifies one cached artifact. Tenant scopes entries to one
-// key-share owner (one P1 instance, one logical customer), Epoch is
-// that owner's rotation epoch at build time, and Kind separates
-// artifact families under the same (tenant, epoch) — e.g.
-// "dlr.transport" vs "dlr.batch".
+// Key identifies one cached transport-table set. Tenant scopes entries
+// to one key-share owner (one P1 instance, one logical customer), and
+// Epoch is that owner's rotation epoch at build time.
 type Key struct {
 	Tenant string
 	Epoch  uint64
-	Kind   string
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
@@ -154,7 +151,7 @@ func (c *Cache) Get(k Key) (any, bool) {
 // Put inserts or replaces the value under k, evicting the least
 // recently used entries if the capacity is exceeded. Concurrent
 // builders racing to Put the same key are benign: the artifacts are
-// deterministic per (tenant, epoch, kind), so either build is valid
+// deterministic per (tenant, epoch), so either build is valid
 // and the later Put simply replaces an equal value.
 func (c *Cache) Put(k Key, v any) {
 	if c.capacity <= 0 {
@@ -182,7 +179,7 @@ func (c *Cache) Put(k Key, v any) {
 }
 
 // InvalidateTenant removes every entry belonging to tenant, across
-// all epochs and kinds, and returns how many were dropped. Refresh
+// all epochs, and returns how many were dropped. Refresh
 // paths call this after bumping their epoch: correctness never
 // depends on it (the new epoch can't address old entries), it just
 // reclaims the dead entries' memory immediately.

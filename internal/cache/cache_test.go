@@ -8,7 +8,7 @@ import (
 
 func TestGetPutBasic(t *testing.T) {
 	c := New(4)
-	k := Key{Tenant: "t1", Epoch: 0, Kind: "dlr.batch"}
+	k := Key{Tenant: "t1", Epoch: 0}
 	if _, ok := c.Get(k); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -37,7 +37,7 @@ func TestLRUEviction(t *testing.T) {
 	c := New(3)
 	ks := make([]Key, 4)
 	for i := range ks {
-		ks[i] = Key{Tenant: "t", Epoch: uint64(i), Kind: "k"}
+		ks[i] = Key{Tenant: "t", Epoch: uint64(i)}
 	}
 	c.Put(ks[0], 0)
 	c.Put(ks[1], 1)
@@ -65,7 +65,7 @@ func TestLRUEviction(t *testing.T) {
 // e+1 even when nobody invalidates.
 func TestEpochKeysNeverCollide(t *testing.T) {
 	c := New(8)
-	pre := Key{Tenant: "t", Epoch: 7, Kind: "dlr.batch"}
+	pre := Key{Tenant: "t", Epoch: 7}
 	c.Put(pre, "pre-refresh table")
 	post := pre
 	post.Epoch = 8
@@ -76,10 +76,11 @@ func TestEpochKeysNeverCollide(t *testing.T) {
 
 func TestInvalidateTenant(t *testing.T) {
 	c := New(16)
+	for e := uint64(0); e < 6; e++ {
+		c.Put(Key{Tenant: "a", Epoch: e}, e)
+	}
 	for e := uint64(0); e < 3; e++ {
-		c.Put(Key{Tenant: "a", Epoch: e, Kind: "k1"}, e)
-		c.Put(Key{Tenant: "a", Epoch: e, Kind: "k2"}, e)
-		c.Put(Key{Tenant: "b", Epoch: e, Kind: "k1"}, e)
+		c.Put(Key{Tenant: "b", Epoch: e}, e)
 	}
 	if n := c.InvalidateTenant("a"); n != 6 {
 		t.Fatalf("invalidated %d entries of tenant a, want 6", n)
@@ -88,7 +89,7 @@ func TestInvalidateTenant(t *testing.T) {
 		t.Fatalf("Len=%d after invalidation, want 3 (tenant b untouched)", c.Len())
 	}
 	for e := uint64(0); e < 3; e++ {
-		if _, ok := c.Get(Key{Tenant: "b", Epoch: e, Kind: "k1"}); !ok {
+		if _, ok := c.Get(Key{Tenant: "b", Epoch: e}); !ok {
 			t.Fatalf("tenant b epoch %d lost to tenant a's invalidation", e)
 		}
 	}
@@ -100,24 +101,24 @@ func TestInvalidateTenant(t *testing.T) {
 func TestInvalidateTenantBelow(t *testing.T) {
 	c := New(16)
 	for e := uint64(0); e < 4; e++ {
-		c.Put(Key{Tenant: "a", Epoch: e, Kind: "k"}, e)
-		c.Put(Key{Tenant: "b", Epoch: e, Kind: "k"}, e)
+		c.Put(Key{Tenant: "a", Epoch: e}, e)
+		c.Put(Key{Tenant: "b", Epoch: e}, e)
 	}
 	if n := c.InvalidateTenantBelow("a", 2); n != 2 {
 		t.Fatalf("dropped %d entries below epoch 2, want 2", n)
 	}
 	for e := uint64(0); e < 2; e++ {
-		if _, ok := c.Get(Key{Tenant: "a", Epoch: e, Kind: "k"}); ok {
+		if _, ok := c.Get(Key{Tenant: "a", Epoch: e}); ok {
 			t.Fatalf("tenant a epoch %d survived InvalidateTenantBelow(2)", e)
 		}
 	}
 	for e := uint64(2); e < 4; e++ {
-		if _, ok := c.Get(Key{Tenant: "a", Epoch: e, Kind: "k"}); !ok {
+		if _, ok := c.Get(Key{Tenant: "a", Epoch: e}); !ok {
 			t.Fatalf("tenant a epoch %d (>= cutoff) must survive", e)
 		}
 	}
 	for e := uint64(0); e < 4; e++ {
-		if _, ok := c.Get(Key{Tenant: "b", Epoch: e, Kind: "k"}); !ok {
+		if _, ok := c.Get(Key{Tenant: "b", Epoch: e}); !ok {
 			t.Fatalf("tenant b epoch %d lost to tenant a's partial invalidation", e)
 		}
 	}
@@ -129,7 +130,7 @@ func TestInvalidateTenantBelow(t *testing.T) {
 // commit, and are hit by the first post-flip lookup.
 func TestFutureEpochPrewarm(t *testing.T) {
 	c := New(8)
-	cur := Key{Tenant: "t", Epoch: 3, Kind: "dlr.batch"}
+	cur := Key{Tenant: "t", Epoch: 3}
 	next := cur
 	next.Epoch = 4
 	c.Put(cur, "current tables")
@@ -159,7 +160,7 @@ func TestTenantIndexConsistency(t *testing.T) {
 	c := New(8)
 	for i := 0; i < 64; i++ {
 		tenant := fmt.Sprintf("t%d", i%3)
-		c.Put(Key{Tenant: tenant, Epoch: uint64(i % 4), Kind: fmt.Sprintf("k%d", i%2)}, i)
+		c.Put(Key{Tenant: tenant, Epoch: uint64(i % 4)}, i)
 	}
 	total := 0
 	for i := 0; i < 3; i++ {
@@ -173,7 +174,7 @@ func TestTenantIndexConsistency(t *testing.T) {
 	}
 	// The tenant index must not retain ghosts: re-inserting after a
 	// full purge behaves like a fresh cache.
-	k := Key{Tenant: "t0", Epoch: 9, Kind: "k"}
+	k := Key{Tenant: "t0", Epoch: 9}
 	c.Put(k, "fresh")
 	if v, ok := c.Get(k); !ok || v.(string) != "fresh" {
 		t.Fatal("cache unusable after full invalidation churn")
@@ -182,7 +183,7 @@ func TestTenantIndexConsistency(t *testing.T) {
 
 func TestZeroCapacityDisables(t *testing.T) {
 	c := New(0)
-	k := Key{Tenant: "t", Kind: "k"}
+	k := Key{Tenant: "t"}
 	c.Put(k, "v")
 	if _, ok := c.Get(k); ok {
 		t.Fatal("zero-capacity cache must never hit")
@@ -204,7 +205,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 			defer wg.Done()
 			tenant := fmt.Sprintf("t%d", g%3)
 			for i := 0; i < 400; i++ {
-				k := Key{Tenant: tenant, Epoch: uint64(i % 5), Kind: "k"}
+				k := Key{Tenant: tenant, Epoch: uint64(i % 5)}
 				switch i % 7 {
 				case 0:
 					c.Put(k, i)

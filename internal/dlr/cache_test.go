@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bn254"
 	"repro/internal/cache"
+	"repro/internal/opcount"
 	"repro/internal/params"
 )
 
@@ -30,59 +31,194 @@ func encryptN(t *testing.T, pk *PublicKey, n int) ([]*Ciphertext, []*bn254.GT) {
 	return cs, ms
 }
 
-func checkBatch(t *testing.T, got, want []*bn254.GT) {
+// decryptAll runs the two-party Dec protocol once per ciphertext and
+// sums the transcript statistics.
+func decryptAll(p1 *P1, p2 *P2, cs []*Ciphertext) ([]*bn254.GT, *Stats, error) {
+	out := make([]*bn254.GT, len(cs))
+	total := &Stats{}
+	for i, c := range cs {
+		m, st, err := Decrypt(rand.Reader, p1, p2, c)
+		if err != nil {
+			return nil, nil, err
+		}
+		out[i] = m
+		total.BytesP1 += st.BytesP1
+		total.BytesP2 += st.BytesP2
+	}
+	return out, total, nil
+}
+
+func checkMessages(t *testing.T, got, want []*bn254.GT) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("batch returned %d messages, want %d", len(got), len(want))
+		t.Fatalf("decrypted %d messages, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if !got[i].Equal(want[i]) {
-			t.Fatalf("message %d wrong after cached batch decrypt", i)
+			t.Fatalf("message %d wrong", i)
 		}
 	}
 }
 
-// TestBatchCacheWarmHit runs two batches in the same epoch and checks
-// the second one replays the cold batch's tables instead of rebuilding:
-// within one P1 instance via the installed batch session (no further
-// cache traffic at all, no channel traffic), and across instances —
-// the restart scenario the cache exists for — via a cache hit from a
-// second P1 restored from the first one's serialized state.
-func TestBatchCacheWarmHit(t *testing.T) {
+// TestTransportCacheDecrypt decrypts several ciphertexts in both modes
+// with a cache attached: every request decrypts correctly and every
+// one is a real round trip with P2.
+func TestTransportCacheDecrypt(t *testing.T) {
+	for _, mode := range []params.Mode{params.ModeBasic, params.ModeOptimalRate} {
+		pk, p1, p2 := genTest(t, mode)
+		p1.AttachCache(cache.New(8), "tenant-a")
+		cs, ms := encryptN(t, pk, 5)
+		for i, c := range cs {
+			got, stats, err := Decrypt(rand.Reader, p1, p2, c)
+			if err != nil {
+				t.Fatalf("mode %v: Decrypt %d: %v", mode, i, err)
+			}
+			if !got.Equal(ms[i]) {
+				t.Fatalf("mode %v: message %d wrong", mode, i)
+			}
+			if stats.BytesP1 == 0 || stats.BytesP2 == 0 {
+				t.Fatalf("mode %v: request %d decrypted without a round trip", mode, i)
+			}
+		}
+	}
+}
+
+// TestTransportCacheMatchesUncached checks that transport tables
+// replayed from the cache give exactly what an uncached instance
+// computes from freshly built tables.
+func TestTransportCacheMatchesUncached(t *testing.T) {
+	pk, p1, p2 := genTest(t, params.ModeOptimalRate)
+	c := cache.New(8)
+	p1.AttachCache(c, "tenant-a")
+	cs, ms := encryptN(t, pk, 3)
+	if _, _, err := decryptAll(p1, p2, cs[:1]); err != nil { // publish the tables
+		t.Fatal(err)
+	}
+
+	raw, err := p1.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := UnmarshalP1(pk, raw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached.AttachCache(c, "tenant-a")
+	uncached, err := UnmarshalP1(pk, raw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hitsBefore := c.Stats().Hits
+	fromCache, _, err := decryptAll(cached, p2, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Stats().Hits == hitsBefore {
+		t.Fatal("restored instance did not replay the cached tables")
+	}
+	fresh, _, err := decryptAll(uncached, p2, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMessages(t, fromCache, ms)
+	checkMessages(t, fresh, fromCache)
+}
+
+// TestTransportCacheAcrossRefresh decrypts with a cache attached after
+// a refresh and a period rotation.
+func TestTransportCacheAcrossRefresh(t *testing.T) {
+	pk, p1, p2 := genTest(t, params.ModeOptimalRate)
+	p1.AttachCache(cache.New(8), "tenant-a")
+	cs, ms := encryptN(t, pk, 2)
+	if _, _, err := decryptAll(p1, p2, cs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Refresh(rand.Reader, p1, p2); err != nil {
+		t.Fatalf("Refresh: %v", err)
+	}
+	if err := p1.BeginPeriod(rand.Reader); err != nil {
+		t.Fatalf("BeginPeriod: %v", err)
+	}
+	got, _, err := decryptAll(p1, p2, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMessages(t, got, ms)
+}
+
+// TestTransportCacheOpCounts pins the per-request cost of the Dec
+// protocol when the transport tables come from the cache: P1 pays the
+// (ℓ+1)(κ+1) transport pairings plus κ for the random GT coins of
+// Enc'(B) (group.GT.Rand pairs a hashed point); P2 pays none and
+// combines ℓ ciphertexts of κ+1 coordinates.
+func TestTransportCacheOpCounts(t *testing.T) {
+	ctrP1, ctrP2 := opcount.New(), opcount.New()
+	pk, p1, p2, err := Gen(rand.Reader, testParams(t), WithCounters(ctrP1, ctrP2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1.AttachCache(cache.New(8), "tenant-a")
+	cs, ms := encryptN(t, pk, 4)
+	if _, _, err := decryptAll(p1, p2, cs[:1]); err != nil { // build the tables
+		t.Fatal(err)
+	}
+	ctrP1.Reset()
+	ctrP2.Reset()
+	got, _, err := decryptAll(p1, p2, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMessages(t, got, ms)
+	prm := p1.Params()
+	wantPair := int64(len(cs) * ((prm.Ell+1)*(prm.Kappa+1) + prm.Kappa))
+	if n := ctrP1.Get(opcount.Pairing); n != wantPair {
+		t.Fatalf("P1 pairings = %d, want %d", n, wantPair)
+	}
+	if n := ctrP2.Get(opcount.Pairing); n != 0 {
+		t.Fatalf("P2 pairings = %d, want 0", n)
+	}
+	wantExp := int64(len(cs) * prm.Ell * (prm.Kappa + 1))
+	if n := ctrP2.Get(opcount.GTExp); n != wantExp {
+		t.Fatalf("P2 GT exps = %d, want %d", n, wantExp)
+	}
+}
+
+// TestTransportCacheWarmHit runs two decryptions in the same epoch and
+// checks the second one replays the first one's tables instead of
+// rebuilding: within one P1 instance via the in-struct tables (no
+// further cache traffic at all), and across instances — the restart
+// scenario the cache exists for — via a cache hit from a second P1
+// restored from the first one's serialized state.
+func TestTransportCacheWarmHit(t *testing.T) {
 	pk, p1, p2 := genTest(t, params.ModeOptimalRate)
 	c := cache.New(8)
 	p1.AttachCache(c, "tenant-a")
 
 	cs, ms := encryptN(t, pk, 3)
-	got, _, err := DecryptBatch(p1, p2, cs)
+	got, _, err := decryptAll(p1, p2, cs[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBatch(t, got, ms)
+	checkMessages(t, got, ms[:1])
 	if s := c.Stats(); s.Hits != 0 {
-		t.Fatalf("cold batch reported %d hits", s.Hits)
+		t.Fatalf("cold decrypt reported %d hits", s.Hits)
 	}
 	missesAfterCold := c.Stats().Misses
 
-	// Same instance: the installed session serves the second batch with
-	// no rebuild — no new misses, and no round trip either.
-	got, stats, err := DecryptBatch(p1, p2, cs[:2])
+	// Same instance: the in-struct tables serve the next requests with
+	// no rebuild and no new misses.
+	got, _, err = decryptAll(p1, p2, cs[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBatch(t, got, ms[:2])
+	checkMessages(t, got, ms[1:])
 	if s := c.Stats(); s.Misses != missesAfterCold {
-		t.Fatalf("warm batch rebuilt tables: stats %+v", s)
-	}
-	if stats.BytesP1 != 0 {
-		t.Fatal("warm batch of the same instance still paid a round trip")
+		t.Fatalf("warm decrypt rebuilt tables: stats %+v", s)
 	}
 
 	// Cross-instance: a P1 restored from serialized state (same share,
 	// same tenant, fresh epoch counter starting at 0 — matching the
-	// original's unrotated epoch) must hit the published entry: the
-	// digest validates because u is a deterministic function of the
-	// devices' share state.
+	// original's unrotated epoch) must hit the published entry.
 	raw, err := p1.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -93,22 +229,22 @@ func TestBatchCacheWarmHit(t *testing.T) {
 	}
 	p1b.AttachCache(c, "tenant-a")
 	hitsBefore := c.Stats().Hits
-	got, _, err = DecryptBatch(p1b, p2, cs)
+	got, _, err = decryptAll(p1b, p2, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBatch(t, got, ms)
+	checkMessages(t, got, ms)
 	if s := c.Stats(); s.Hits == hitsBefore {
 		t.Fatalf("restored instance missed the published tables: stats %+v", s)
 	}
 }
 
-// TestBatchCacheRefreshInvalidates is the rotation-soundness
-// regression test: a decrypt after a refresh must never replay a
-// pre-refresh table — neither via the cache (epoch changed AND the
-// tenant was invalidated) nor via any in-struct pointer — and must
-// still decrypt correctly under the rotated shares.
-func TestBatchCacheRefreshInvalidates(t *testing.T) {
+// TestTransportCacheRefreshInvalidates is the rotation regression
+// test: a decrypt after a refresh must never replay a pre-refresh
+// table — neither via the cache (epoch changed AND the tenant was
+// invalidated) nor via any in-struct pointer — and must still decrypt
+// correctly under the rotated shares.
+func TestTransportCacheRefreshInvalidates(t *testing.T) {
 	for _, mode := range []params.Mode{params.ModeBasic, params.ModeOptimalRate} {
 		t.Run(mode.String(), func(t *testing.T) {
 			pk, p1, p2 := genTest(t, mode)
@@ -116,14 +252,14 @@ func TestBatchCacheRefreshInvalidates(t *testing.T) {
 			p1.AttachCache(c, "tenant-a")
 
 			cs, ms := encryptN(t, pk, 2)
-			got, _, err := DecryptBatch(p1, p2, cs)
+			got, _, err := decryptAll(p1, p2, cs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkBatch(t, got, ms)
+			checkMessages(t, got, ms)
 			epochBefore := p1.Epoch()
 			if c.Len() == 0 {
-				t.Fatal("cold batch published nothing")
+				t.Fatal("cold decrypt published nothing")
 			}
 
 			if _, err := Refresh(rand.Reader, p1, p2); err != nil {
@@ -136,35 +272,35 @@ func TestBatchCacheRefreshInvalidates(t *testing.T) {
 				t.Fatalf("refresh left %d stale entries in the cache", c.Len())
 			}
 
-			// The post-refresh batch must build fresh tables (a miss, not
-			// a hit) and still decrypt correctly.
+			// The post-refresh decrypt must build fresh tables (a miss,
+			// not a hit) and still decrypt correctly.
 			hitsBefore := c.Stats().Hits
-			got, _, err = DecryptBatch(p1, p2, cs)
+			got, _, err = decryptAll(p1, p2, cs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkBatch(t, got, ms)
+			checkMessages(t, got, ms)
 			if c.Stats().Hits != hitsBefore {
-				t.Fatal("post-refresh batch hit the cache — replayed a pre-refresh table")
+				t.Fatal("post-refresh decrypt hit the cache — replayed a pre-refresh table")
 			}
 		})
 	}
 }
 
-// TestBatchCachePeriodRotationInvalidates checks the same guarantee
-// for BeginPeriod, which rotates skcomm (and hence the batch tables'
-// key fold) without running the refresh protocol.
-func TestBatchCachePeriodRotationInvalidates(t *testing.T) {
+// TestTransportCachePeriodRotationInvalidates checks the same
+// guarantee for BeginPeriod, which re-encrypts the share under a new
+// period key without running the refresh protocol.
+func TestTransportCachePeriodRotationInvalidates(t *testing.T) {
 	pk, p1, p2 := genTest(t, params.ModeOptimalRate)
 	c := cache.New(8)
 	p1.AttachCache(c, "tenant-a")
 
 	cs, ms := encryptN(t, pk, 2)
-	got, _, err := DecryptBatch(p1, p2, cs)
+	got, _, err := decryptAll(p1, p2, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBatch(t, got, ms)
+	checkMessages(t, got, ms)
 	epochBefore := p1.Epoch()
 
 	if err := p1.BeginPeriod(rand.Reader); err != nil {
@@ -174,21 +310,22 @@ func TestBatchCachePeriodRotationInvalidates(t *testing.T) {
 		t.Fatal("BeginPeriod did not bump the rotation epoch")
 	}
 	hitsBefore := c.Stats().Hits
-	got, _, err = DecryptBatch(p1, p2, cs)
+	got, _, err = decryptAll(p1, p2, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBatch(t, got, ms)
+	checkMessages(t, got, ms)
 	if c.Stats().Hits != hitsBefore {
-		t.Fatal("post-rotation batch hit the cache")
+		t.Fatal("post-rotation decrypt hit the cache")
 	}
 }
 
-// TestBatchCacheMultiTenantConcurrent shares one cache between several
-// tenants' P1 instances decrypting and refreshing concurrently; under
-// -race this is the integration-level thread-safety check, and each
-// tenant's decrypts must stay correct throughout.
-func TestBatchCacheMultiTenantConcurrent(t *testing.T) {
+// TestTransportCacheMultiTenantConcurrent shares one cache between
+// several tenants' P1 instances decrypting and refreshing
+// concurrently; under -race this is the integration-level
+// thread-safety check, and each tenant's decrypts must stay correct
+// throughout.
+func TestTransportCacheMultiTenantConcurrent(t *testing.T) {
 	const tenants = 3
 	c := cache.New(2 * tenants)
 
@@ -212,7 +349,7 @@ func TestBatchCacheMultiTenantConcurrent(t *testing.T) {
 			defer wg.Done()
 			cs, ms := encryptN(t, st.pk, 2)
 			for round := 0; round < 3; round++ {
-				got, _, err := DecryptBatch(st.p1, st.p2, cs)
+				got, _, err := decryptAll(st.p1, st.p2, cs)
 				if err != nil {
 					errs <- fmt.Errorf("tenant %d round %d: %w", i, round, err)
 					return

@@ -19,31 +19,20 @@ func payloadIsCompressed(p []byte) bool {
 	return len(p) >= 5 && binary.BigEndian.Uint32(p) == 0xFFFFFFFF
 }
 
-// runRecordedBatch runs one cold RunDecBatch through a transcript
-// recorder and returns the first frame sent in each direction.
-func runRecordedBatch(t *testing.T, p1 *P1, p2 *P2, pk *PublicKey) (req, reply wire.Msg) {
+// runRecordedRefresh runs one refresh (G2 ciphertext lists in both
+// directions) through a transcript recorder and returns the frame sent
+// in each direction.
+func runRecordedRefresh(t *testing.T, p1 *P1, p2 *P2) (req, reply wire.Msg) {
 	t.Helper()
-	m, err := RandMessage(rand.Reader, pk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := Encrypt(rand.Reader, pk, m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	a, b := device.NewLocalPair()
 	rec := device.NewRecorder(a)
 	done := make(chan error, 1)
 	go func() { done <- p2.Serve(b) }()
-	ms, err := p1.RunDecBatch(rec, []*Ciphertext{ct})
-	if err != nil {
+	if err := p1.RunRef(rand.Reader, rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
-	}
-	if !ms[0].Equal(m) {
-		t.Fatal("batch decryption returned the wrong message")
 	}
 	sent, recv := rec.Transcript()
 	if len(sent) != 1 || len(recv) != 1 {
@@ -55,7 +44,7 @@ func runRecordedBatch(t *testing.T, p1 *P1, p2 *P2, pk *PublicKey) (req, reply w
 // TestWireCodecNegotiation pins the codec echo in both directions: a
 // compressed-capable P1 gets compressed replies, and a legacy-pinned P1
 // (SetLegacyWire) gets byte-format-legacy replies from the very same
-// upgraded P2.
+// upgraded P2. Decryption still works after every switch.
 func TestWireCodecNegotiation(t *testing.T) {
 	prm, err := params.New(64, 40)
 	if err != nil {
@@ -65,35 +54,47 @@ func TestWireCodecNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	decrypts := func() {
+		t.Helper()
+		cs, ms := encryptN(t, pk, 1)
+		got, _, err := decryptAll(p1, p2, cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMessages(t, got, ms)
+	}
 
-	req, reply := runRecordedBatch(t, p1, p2, pk)
+	req, reply := runRecordedRefresh(t, p1, p2)
 	if !payloadIsCompressed(req.Payload) {
 		t.Fatal("default P1 sent a legacy request")
 	}
 	if !payloadIsCompressed(reply.Payload) {
 		t.Fatal("P2 answered a compressed request with a legacy reply")
 	}
+	decrypts()
 
 	// Same P2, legacy peer: the request and the echoed reply are both
 	// uncompressed.
-	p1.noteRotation() // drop the warm batch session so the next batch pays the round trip
 	p1.SetLegacyWire(true)
-	req, reply = runRecordedBatch(t, p1, p2, pk)
+	req, reply = runRecordedRefresh(t, p1, p2)
 	if payloadIsCompressed(req.Payload) {
 		t.Fatal("legacy-pinned P1 sent a compressed request")
 	}
 	if payloadIsCompressed(reply.Payload) {
 		t.Fatal("P2 answered a legacy request with a compressed reply")
 	}
+	decrypts()
 
-	// The refresh protocols run end to end on the legacy codec too.
-	if _, err := Refresh(rand.Reader, p1, p2); err != nil {
-		t.Fatalf("legacy-codec refresh: %v", err)
+	// The pipelined refresh runs end to end on the legacy codec too.
+	if _, err := RefreshPipelined(rand.Reader, p1, p2); err != nil {
+		t.Fatalf("legacy-codec pipelined refresh: %v", err)
 	}
+	decrypts()
 	p1.SetLegacyWire(false)
 	if _, err := Refresh(rand.Reader, p1, p2); err != nil {
 		t.Fatalf("compressed-codec refresh: %v", err)
 	}
+	decrypts()
 }
 
 // TestUnmarshalP1LegacyState rebuilds a Marshal blob in the

@@ -152,17 +152,6 @@ type P1 struct {
 	// dropped whenever the encrypted share changes.
 	transTabs []*hpske.TransportTable
 
-	// batchTabs holds the current epoch's batch decryption session: the
-	// κ+1 pairing tables derived from P2's combination u. Once set, a
-	// RunDecBatch serves entirely locally — zero round trips — until
-	// the next rotation drops the session. Atomic because the bench
-	// pipeline (and any other caller honoring the read-only contract)
-	// drives one P1 from several worker goroutines; concurrent cold
-	// batches may race to install, which is benign — the tables are a
-	// deterministic function of (u, skcomm), so either install is valid.
-	//dlr:atomic
-	batchTabs atomic.Pointer[batchSession]
-
 	period uint64
 
 	// epoch counts share-state rotations: it is bumped by every
@@ -170,17 +159,17 @@ type P1 struct {
 	// rebuildEncryptedShare, CommitRefresh). Unlike period — which only
 	// refresh protocols advance — epoch changes on EVERY rotation, which
 	// is what the table cache keys on: a post-rotation lookup can never
-	// address a pre-rotation entry. See internal/cache for why this
-	// matters for leakage soundness. Atomic because observers (the
-	// server's TenantEpoch gauge, StageRefresh running concurrently with
-	// serving) read it while a rotation on the owning loop bumps it.
+	// address a pre-rotation entry (see internal/cache). Atomic because
+	// observers (the server's TenantEpoch gauge, StageRefresh running
+	// concurrently with serving) read it while a rotation on the owning
+	// loop bumps it.
 	//dlr:atomic
 	epoch atomic.Uint64
 
-	// tableCache, when attached, shares precomputed pairing tables
-	// across requests (and across P1 instances of different tenants)
-	// keyed by (tenant, epoch, kind). Nil means uncached — all table
-	// builds stay per-call/per-instance as before.
+	// tableCache, when attached, shares the precomputed transport
+	// tables across P1 instances (and across tenants) keyed by
+	// (tenant, epoch). Nil means uncached — table builds stay
+	// per-instance.
 	tableCache *cache.Cache
 	tenant     string
 
@@ -409,7 +398,6 @@ func (p *P1) rebuildEncryptedShare(rng io.Reader) error {
 func (p *P1) noteRotation() {
 	p.epoch.Add(1)
 	p.transTabs = nil
-	p.batchTabs.Store(nil)
 	if p.tableCache != nil {
 		p.tableCache.InvalidateTenant(p.tenant)
 	}
@@ -417,7 +405,7 @@ func (p *P1) noteRotation() {
 
 // AttachCache shares the precomputation cache c with this P1 under the
 // given tenant label. Tables built from the current share state are
-// published under (tenant, epoch, kind) keys and reused until the next
+// published under (tenant, epoch) keys and reused until the next
 // rotation bumps the epoch. Attach only to live instances: the
 // attachment (and the epoch counter) is deliberately not serialized by
 // Marshal, so a P1 restored from bytes starts uncached and cannot
@@ -436,14 +424,14 @@ func (p *P1) Epoch() uint64 { return p.epoch.Load() }
 // a deterministic function of the public encSK1/encPhi ciphertexts, so
 // caching them adds nothing to P1's secret memory or leakage surface.
 // With a cache attached, the build is also published under
-// (tenant, epoch, "dlr.transport") so other holders of the cache — or
+// (tenant, epoch) so other holders of the cache — or
 // this P1 after its in-struct pointer was dropped — skip the κ+1
 // Miller precomputations per ciphertext.
 func (p *P1) transportTables() []*hpske.TransportTable {
 	if p.transTabs != nil {
 		return p.transTabs
 	}
-	key := cache.Key{Tenant: p.tenant, Epoch: p.epoch.Load(), Kind: "dlr.transport"}
+	key := cache.Key{Tenant: p.tenant, Epoch: p.epoch.Load()}
 	if p.tableCache != nil {
 		if v, ok := p.tableCache.Get(key); ok {
 			p.transTabs = v.([]*hpske.TransportTable)

@@ -19,12 +19,6 @@ const (
 	kindDec2 = "dlr.dec2" // P2 → P1: c'                 (GT ciphertext)
 	kindRef1 = "dlr.ref1" // P1 → P2: (f1,f'1),…,(fℓ,f'ℓ), fΦ (G2 ciphertexts)
 	kindRef2 = "dlr.ref2" // P2 → P1: f                  (G2 ciphertext)
-
-	kindDecB1 = "dlr.decb1" // P1 → P2: f1,…,fℓ, fΦ      (G2 ciphertexts, batch mode)
-	kindDecB2 = "dlr.decb2" // P2 → P1: u = Π fᵢ^sᵢ / fΦ (G2 ciphertext, batch mode)
-
-	kindRefP1 = "dlr.refp1" // P1 → P2: ref1 payload, pipelined refresh
-	kindRefP2 = "dlr.refp2" // P2 → P1: f, u'             (G2 ciphertexts)
 )
 
 // RunDec executes P1's side of the decryption protocol for ciphertext
@@ -241,17 +235,9 @@ func (p *P2) Serve(ch device.Channel) error {
 		p.mu.RLock()
 		reply, err = p.handleDec1(msg)
 		p.mu.RUnlock()
-	case kindDecB1:
-		p.mu.RLock()
-		reply, err = p.handleDecB1(msg)
-		p.mu.RUnlock()
 	case kindRef1:
 		p.mu.Lock()
 		reply, err = p.handleRef1(msg)
-		p.mu.Unlock()
-	case kindRefP1:
-		p.mu.Lock()
-		reply, err = p.handleRefP1(msg)
 		p.mu.Unlock()
 	default:
 		return fmt.Errorf("dlr: P2 received unknown frame kind %q", msg.Kind)

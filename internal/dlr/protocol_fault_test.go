@@ -18,17 +18,18 @@ import (
 
 func TestP2RejectsUnknownFrameKind(t *testing.T) {
 	_, _, p2 := genTest(t, params.ModeOptimalRate)
-	_, _, err := device.Run(
-		func(ch device.Channel) error {
-			if err := ch.Send(wire.Msg{Kind: "evil.frame", Payload: []byte("junk")}); err != nil {
-				return err
-			}
-			return nil
-		},
-		p2.Serve,
-	)
-	if err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
-		t.Fatalf("P2 accepted unknown frame kind: %v", err)
+	// dlr.decb1 asked P2 for the removed batch-decryption mask and
+	// dlr.refp1 for its refresh-time twin; P2 must answer neither.
+	for _, kind := range []string{"evil.frame", "dlr.decb1", "dlr.refp1"} {
+		_, _, err := device.Run(
+			func(ch device.Channel) error {
+				return ch.Send(wire.Msg{Kind: kind, Payload: []byte("junk")})
+			},
+			p2.Serve,
+		)
+		if err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
+			t.Fatalf("P2 accepted frame kind %q: %v", kind, err)
+		}
 	}
 }
 
@@ -176,12 +177,13 @@ func (c *bitFlipChannel) Send(m wire.Msg) error {
 	return c.Channel.Send(m)
 }
 
-// TestBatchCacheFaultyReplyPublishesNothing checks a protocol fault
-// cannot poison the table cache: when the dec-batch reply fails to
-// decode, RunDecBatch errors out before any table build, so the next
-// honest batch starts from a clean (cold) cache and decrypts
-// correctly.
-func TestBatchCacheFaultyReplyPublishesNothing(t *testing.T) {
+// TestTransportCacheSurvivesFaultyReply checks a protocol fault
+// cannot poison the table cache: the only entry a decryption publishes
+// is the transport-table set, built from P1's public encrypted share
+// before the round trip. When the dec2 reply fails to decode, RunDec
+// errors out; the next honest decryption replays that entry and
+// decrypts correctly.
+func TestTransportCacheSurvivesFaultyReply(t *testing.T) {
 	pk, p1, p2 := genTest(t, params.ModeOptimalRate)
 	c := cache.New(8)
 	p1.AttachCache(c, "tenant-a")
@@ -190,9 +192,8 @@ func TestBatchCacheFaultyReplyPublishesNothing(t *testing.T) {
 
 	_, _, err := device.Run(
 		func(ch device.Channel) error {
-			_, err := p1.RunDecBatch(ch, []*Ciphertext{ct})
-			if err == nil {
-				t.Error("P1 accepted malformed decB2 reply")
+			if _, err := p1.RunDec(rand.Reader, ch, ct); err == nil {
+				t.Error("P1 accepted malformed dec2 reply")
 			}
 			return nil
 		},
@@ -200,52 +201,21 @@ func TestBatchCacheFaultyReplyPublishesNothing(t *testing.T) {
 			if _, err := ch.Recv(); err != nil {
 				return err
 			}
-			return ch.Send(wire.Msg{Kind: "dlr.decB2", Payload: []byte{0xde, 0xad}})
+			return ch.Send(wire.Msg{Kind: "dlr.dec2", Payload: []byte{0xde, 0xad}})
 		},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("faulty batch published %d cache entries", c.Len())
+	if c.Len() != 1 {
+		t.Fatalf("faulty decryption left %d cache entries, want the 1 transport-table set", c.Len())
 	}
 
-	got, _, err := DecryptBatch(p1, p2, []*Ciphertext{ct})
+	got, _, err := Decrypt(rand.Reader, p1, p2, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got[0].Equal(m) {
-		t.Fatal("honest batch after faulty reply decrypted wrongly")
-	}
-}
-
-// TestBatchCacheDigestSelfCorrects plants a poisoned entry under the
-// CURRENT (tenant, epoch) key — simulating device-state drift the
-// epoch counter did not witness — and checks the u-digest validation
-// treats it as a miss: the batch rebuilds honest tables, decrypts
-// correctly, and replaces the bad entry.
-func TestBatchCacheDigestSelfCorrects(t *testing.T) {
-	pk, p1, p2 := genTest(t, params.ModeOptimalRate)
-	c := cache.New(8)
-	p1.AttachCache(c, "tenant-a")
-	m, _ := RandMessage(rand.Reader, pk)
-	ct, _ := Encrypt(rand.Reader, pk, m, nil)
-
-	key := cache.Key{Tenant: "tenant-a", Epoch: p1.Epoch(), Kind: "dlr.batch"}
-	c.Put(key, &batchTableEntry{digest: [32]byte{0xbd}, tabs: nil})
-
-	got, _, err := DecryptBatch(p1, p2, []*Ciphertext{ct})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got[0].Equal(m) {
-		t.Fatal("digest mismatch was not treated as a miss")
-	}
-	v, ok := c.Get(key)
-	if !ok {
-		t.Fatal("honest batch did not replace the poisoned entry")
-	}
-	if e := v.(*batchTableEntry); e.tabs == nil || e.digest == ([32]byte{0xbd}) {
-		t.Fatal("poisoned entry survived the honest batch")
+	if !got.Equal(m) {
+		t.Fatal("honest decryption after faulty reply decrypted wrongly")
 	}
 }

@@ -133,11 +133,9 @@ func testServerRefreshEpochInvalidatesTables(t *testing.T, cold bool, epochStep 
 		epoch = newEpoch
 		// Every retired-epoch entry is gone from the cache — the
 		// no-stale-table invariant, independent of rotation path.
-		for _, kind := range []string{"dlr.transport", "dlr.batch"} {
-			for e := oldEpoch; e < newEpoch; e++ {
-				if _, ok := tabCache.Get(cache.Key{Tenant: "alice", Epoch: e, Kind: kind}); ok {
-					t.Fatalf("refresh %d: %q entry of retired epoch %d survived the rotation", r, kind, e)
-				}
+		for e := oldEpoch; e < newEpoch; e++ {
+			if _, ok := tabCache.Get(cache.Key{Tenant: "alice", Epoch: e}); ok {
+				t.Fatalf("refresh %d: entry of retired epoch %d survived the rotation", r, e)
 			}
 		}
 		// Sample the counters only now: the absence probes above count as

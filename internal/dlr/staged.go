@@ -1,17 +1,14 @@
 package dlr
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"io"
-	"math/big"
 
 	"repro/internal/bn254"
 	"repro/internal/cache"
 	"repro/internal/device"
 	"repro/internal/hpske"
 	"repro/internal/params"
-	"repro/internal/scalar"
 	"repro/internal/wire"
 )
 
@@ -19,12 +16,11 @@ import (
 //
 // The cold rotation path — RunRef followed by BeginPeriod — serializes
 // the entire share replacement against serving: while it runs, the
-// tenant's window loop is quiesced, and the first post-rotation batch
-// then pays the full table rebuild ((ℓ+1)(κ+1) transport Miller
-// precomputations plus κ+1 batch tables), so p99 spikes at every epoch
-// boundary. Since the leakage bounds of Theorem 4.1 are per-period,
-// production rotates continually, and the spike recurs at every
-// cadence tick.
+// tenant's window loop is quiesced, and the first post-rotation request
+// then pays the full transport-table rebuild ((ℓ+1)(κ+1) Miller
+// precomputations), so p99 spikes at every epoch boundary. Since the
+// leakage bounds of Theorem 4.1 are per-period, production rotates
+// continually, and the spike recurs at every cadence tick.
 //
 // The pipelined path splits the rotation in two:
 //
@@ -36,19 +32,13 @@ import (
 //	                transport tables (the encrypted-Φ table needs P2's
 //	                reply) with one flattened parallel build.
 //	CommitRefresh — the only serialized part: one round trip to P2
-//	                (the same 2ℓ+1-ciphertext frame as RunRef), the
-//	                Φ'-dependent leftovers, and an atomic flip of P1's
-//	                state to the staged next epoch.
+//	                (the same ref1 frame as RunRef, answered by the
+//	                same handleRef1), the Φ'-dependent transport table,
+//	                and an atomic flip of P1's state to the staged next
+//	                epoch.
 //
-// The commit round trip also returns u' = Π f'ᵢ^s'ᵢ / f — P2's batch
-// combination over the NEW share, still encrypted under the OLD period
-// key σ. That one extra ciphertext lets P1 derive the next epoch's
-// batch tables before the flip: the mask they encode,
-// e(A, g2^(−α)), is epoch-independent (refresh re-shares the same
-// master secret), so tables folded with the old σ over u' remain
-// correct for every post-flip batch. The first post-rotation window
-// therefore starts with BOTH table families warm — no rebuild, no
-// round trip, no p99 spike.
+// The first post-rotation request therefore finds every transport
+// table warm: no rebuild, no p99 spike.
 //
 // Leakage accounting: the staged state is exactly the material the
 // cold path holds transiently inside RunRef/BeginPeriod (the next
@@ -57,9 +47,9 @@ import (
 // across one protocol run. The zeroize-on-commit guarantees are
 // unchanged: the outgoing σ and (on P2) the outgoing s are wiped in
 // place at the flip, and an abandoned staging wipes σ' (Abandon). The
-// prewarmed tables are functions of public ciphertexts and of u' —
-// data that transits the public channel anyway — so they add nothing
-// to the adversary's view beyond what the cold path already exposes.
+// prewarmed tables are functions of public ciphertexts only — the next
+// encrypted share, which transits the public channel at commit — so
+// they add nothing to the adversary's view.
 
 // StagedRefresh is the output of StageRefresh: everything the next
 // epoch needs that can be computed without P2. It is single-use;
@@ -70,8 +60,8 @@ type StagedRefresh struct {
 	// refuses a staged state whose base epoch is no longer current.
 	epoch uint64
 
-	// payload is the pre-encoded kindRefP1 frame: (fᵢ, f'ᵢ) pairs plus
-	// fΦ, identical in shape to the cold protocol's ref1 frame.
+	// payload is the pre-encoded ref1 frame: (fᵢ, f'ᵢ) pairs plus fΦ,
+	// byte-for-byte the shape the cold protocol's RunRef sends.
 	payload []byte
 
 	// nextKey is the next period's Π_comm key σ', installed at commit.
@@ -118,12 +108,11 @@ func (st *StagedRefresh) Abandon() {
 	st.payload = nil
 }
 
-// StageRefresh prepares the next rotation without mutating P1 and
-// without contacting P2, so it can run concurrently with serving (the
-// same read-only contract RunDecBatch honors: share state is only
-// mutated by commit/rotation operations, which the caller must
-// serialize against both staging and serving — the server runs them on
-// the tenant's window loop). The returned state is committed with
+// StageRefresh prepares the next rotation without mutating P1's share
+// state and without contacting P2, so it can run concurrently with
+// serving (share state is only mutated by commit/rotation operations,
+// which the caller must serialize against both staging and serving —
+// the server runs them on the tenant's window loop). The returned state is committed with
 // CommitRefresh or discarded with Abandon.
 func (p *P1) StageRefresh(rng io.Reader) (*StagedRefresh, error) {
 	st := &StagedRefresh{epoch: p.epoch.Load()}
@@ -168,7 +157,7 @@ func (p *P1) StageRefresh(rng io.Reader) (*StagedRefresh, error) {
 	}
 
 	// Pre-encode the commit frame: (fᵢ, f'ᵢ) pairs then fΦ, the ref1
-	// shape handleRefP1 (and handleRef1) expects.
+	// shape handleRef1 expects.
 	cts := make([]*hpske.Ciphertext[*bn254.G2], 0, 2*p.prm.Ell+1)
 	for i := 0; i < p.prm.Ell; i++ {
 		cts = append(cts, p.encSK1[i], fPrimes[i])
@@ -189,14 +178,14 @@ func (p *P1) StageRefresh(rng io.Reader) (*StagedRefresh, error) {
 }
 
 // CommitRefresh finishes a staged rotation: one round trip on ch runs
-// P2's half of the refresh (which also returns u', the new share's
-// batch combination under the old key), then P1 atomically flips to
-// the staged next epoch with both table families already warm. The
-// epoch advances by exactly one; the old period key is wiped in place.
-// On error P1's state is unchanged and st remains uncommitted (the
-// caller should Abandon it — though note that a failure AFTER the send
-// may leave P2 already rotated, the same partial-failure window the
-// cold protocol has; crash-safe rotation is ROADMAP item 2).
+// P2's half of the refresh, then P1 atomically flips to the staged
+// next epoch with its transport tables already warm. The epoch
+// advances by exactly one; the old period key is wiped in place. On
+// error P1's state is unchanged and st remains uncommitted (the caller
+// should Abandon it — though note that a failure AFTER the send may
+// leave P2 already rotated, the same partial-failure window the cold
+// protocol has; see the ROADMAP item "Fail closed under hung peers,
+// hostile input and crashes").
 //
 //dlr:zeroize skcomm
 func (p *P1) CommitRefresh(rng io.Reader, ch device.Channel, st *StagedRefresh) error {
@@ -206,32 +195,21 @@ func (p *P1) CommitRefresh(rng io.Reader, ch device.Channel, st *StagedRefresh) 
 	if now := p.epoch.Load(); st.epoch != now {
 		return fmt.Errorf("dlr: staged refresh is stale (staged at epoch %d, now %d)", st.epoch, now)
 	}
-	if err := ch.Send(wire.Msg{Kind: kindRefP1, Payload: st.payload}); err != nil {
+	if err := ch.Send(wire.Msg{Kind: kindRef1, Payload: st.payload}); err != nil {
 		return err
 	}
 	reply, err := ch.Recv()
 	if err != nil {
 		return err
 	}
-	if reply.Kind != kindRefP2 {
-		return fmt.Errorf("dlr: expected %s, got %s", kindRefP2, reply.Kind)
+	if reply.Kind != kindRef2 {
+		return fmt.Errorf("dlr: expected %s, got %s", kindRef2, reply.Kind)
 	}
-	fs, err := hpske.DecodeList(p.ssG2, reply.Payload, 2)
+	fs, err := hpske.DecodeList(p.ssG2, reply.Payload, 1)
 	if err != nil {
 		return err
 	}
-	f, uPrime := fs[0], fs[1]
-
-	// Next-epoch batch tables from u'. u' is encrypted under the OLD σ
-	// (P2 built it before its own flip), so the key fold must happen
-	// before σ is wiped below. The mask the tables encode,
-	// e(A, g2^(−α)), does not change across refresh, so they serve
-	// every post-flip batch.
-	batchTabs := p.batchTables(uPrime)
-	uEnc, err := hpske.EncodeList(p.ssG2, []*hpske.Ciphertext[*bn254.G2]{uPrime})
-	if err != nil {
-		return err
-	}
+	f := fs[0]
 
 	var encPhi *hpske.Ciphertext[*bn254.G2]
 	switch p.mode {
@@ -267,83 +245,19 @@ func (p *P1) CommitRefresh(rng io.Reader, ch device.Channel, st *StagedRefresh) 
 	p.period++
 	p.epoch.Add(1)
 	p.transTabs = transTabs
-	p.batchTabs.Store(&batchSession{tabs: batchTabs})
 	st.consumed = true
 	st.nextKey = nil
 	st.newCoins = nil
 
 	if p.tableCache != nil {
-		// Publish the prewarmed sets under the NEW epoch, then drop only
+		// Publish the prewarmed set under the NEW epoch, then drop only
 		// the retiring epochs: InvalidateTenant here would throw away the
 		// warmth the pipeline just built.
 		epoch := p.epoch.Load()
-		p.tableCache.Put(cache.Key{Tenant: p.tenant, Epoch: epoch, Kind: "dlr.transport"}, transTabs)
-		p.tableCache.Put(cache.Key{Tenant: p.tenant, Epoch: epoch, Kind: "dlr.batch"},
-			&batchTableEntry{digest: sha256.Sum256(uEnc), tabs: batchTabs})
+		p.tableCache.Put(cache.Key{Tenant: p.tenant, Epoch: epoch}, transTabs)
 		p.tableCache.InvalidateTenantBelow(p.tenant, epoch)
 	}
 	return nil
-}
-
-// handleRefP1 executes P2's side of the pipelined refresh: the same
-// share replacement as handleRef1 — sample s', return
-// f = Π f'ᵢ^s'ᵢ·fᵢ^(−sᵢ)·fΦ, install s' — plus the next epoch's batch
-// combination u' = Π f'ᵢ^s'ᵢ / f, computed over the NEW share but
-// under the OLD period key, so P1 can prewarm its batch tables from
-// the same round trip. Both devices' erasures are unchanged.
-//
-//dlr:zeroize sk2
-func (p *P2) handleRefP1(msg wire.Msg) (wire.Msg, error) {
-	cts, codec, err := hpske.DecodeListCodec(p.ssG2, msg.Payload, 2*p.prm.Ell+1)
-	if err != nil {
-		return wire.Msg{}, err
-	}
-	sPrime, err := scalar.RandVector(nil, p.prm.Ell)
-	if err != nil {
-		return wire.Msg{}, err
-	}
-	bases := make([]*hpske.Ciphertext[*bn254.G2], 0, 2*p.prm.Ell)
-	exps := make([]*big.Int, 0, 2*p.prm.Ell)
-	for i := 0; i < p.prm.Ell; i++ {
-		bases = append(bases, cts[2*i+1], cts[2*i])
-		exps = append(exps, sPrime[i], new(big.Int).Neg(p.sk2[i]))
-	}
-	acc, err := p.ssG2.LinComb(bases, exps)
-	if err != nil {
-		return wire.Msg{}, err
-	}
-	fPhi := cts[2*p.prm.Ell]
-	f, err := p.ssG2.Mul(acc, fPhi)
-	if err != nil {
-		return wire.Msg{}, err
-	}
-	// u' = Π f'ᵢ^s'ᵢ / f: payload-side this is Π a'ᵢ^s'ᵢ / Φ' =
-	// g2^(−α), the epoch-independent decryption mask, as a Π_comm
-	// ciphertext under the old σ. Only the new scalars s' and public
-	// ciphertexts enter — the outgoing share contributes nothing.
-	basesU := make([]*hpske.Ciphertext[*bn254.G2], 0, p.prm.Ell+1)
-	expsU := make([]*big.Int, 0, p.prm.Ell+1)
-	for i := 0; i < p.prm.Ell; i++ {
-		basesU = append(basesU, cts[2*i+1])
-		expsU = append(expsU, sPrime[i])
-	}
-	basesU = append(basesU, f)
-	expsU = append(expsU, big.NewInt(-1))
-	uPrime, err := p.ssG2.LinComb(basesU, expsU)
-	if err != nil {
-		return wire.Msg{}, err
-	}
-	// Echo the request's codec (see handleRef1).
-	payload, err := hpske.EncodeListCodec(p.ssG2, []*hpske.Ciphertext[*bn254.G2]{f, uPrime}, codec)
-	if err != nil {
-		return wire.Msg{}, err
-	}
-	// Erase the old share and install the new one, exactly as in
-	// handleRef1.
-	p.sk2.Zeroize()
-	p.sk2 = hpske.Key(sPrime)
-	p.period++
-	return wire.Msg{Kind: kindRefP2, Payload: payload}, nil
 }
 
 // RefreshPipelined runs the full two-phase refresh in-process: stage

@@ -13,8 +13,8 @@ import (
 
 // TestPipelinedRefreshPreservesDecryption is the end-to-end correctness
 // check for the two-phase rotation: across several staged+committed
-// rotations, both the per-request and the batched protocol keep
-// decrypting correctly, and each rotation advances the epoch by
+// rotations, the Dec protocol keeps decrypting correctly, and each
+// rotation advances the epoch by
 // exactly one (the pipelined path folds refresh and period rotation
 // into a single share-state replacement).
 func TestPipelinedRefreshPreservesDecryption(t *testing.T) {
@@ -42,13 +42,6 @@ func TestPipelinedRefreshPreservesDecryption(t *testing.T) {
 				}
 				if !got.Equal(m) {
 					t.Fatalf("wrong message after rotation %d", i)
-				}
-				gotB, _, err := DecryptBatch(p1, p2, []*Ciphertext{ct})
-				if err != nil {
-					t.Fatalf("batch decrypt after rotation %d: %v", i, err)
-				}
-				if !gotB[0].Equal(m) {
-					t.Fatalf("wrong batched message after rotation %d", i)
 				}
 			}
 		})
@@ -106,67 +99,47 @@ func TestPipelinedRefreshChangesShares(t *testing.T) {
 	}
 }
 
-// TestPipelinedRefreshPrewarmsTables is the tentpole's core claim at
-// the dlr layer: after a staged rotation, the first batch of the new
-// epoch is served warm — zero device round trips (empty transcript),
-// zero cache misses — and the cache holds both prewarmed table
-// families under the new epoch with nothing from the old one.
+// TestPipelinedRefreshPrewarmsTables is the pipeline's core claim at
+// the dlr layer: after a staged rotation, the first decryption of the
+// new epoch finds its transport tables prewarmed — zero cache misses —
+// and the cache holds the prewarmed set under the new epoch with
+// nothing from the old one. The decryption is still a full round trip
+// with P2.
 func TestPipelinedRefreshPrewarmsTables(t *testing.T) {
 	pk, p1, p2 := genTest(t, params.ModeOptimalRate)
 	c := cache.New(8)
 	p1.AttachCache(c, "tenant-a")
 	cs, ms := encryptN(t, pk, 2)
 
-	// Establish a steady state: one cold batch installs the session.
-	got, _, err := DecryptBatch(p1, p2, cs)
+	// Establish a steady state: the first decryption builds the tables.
+	got, _, err := decryptAll(p1, p2, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBatch(t, got, ms)
+	checkMessages(t, got, ms)
 
 	if _, err := RefreshPipelined(rand.Reader, p1, p2); err != nil {
 		t.Fatal(err)
 	}
 	newEpoch := p1.Epoch()
-	for _, kind := range []string{"dlr.transport", "dlr.batch"} {
-		if _, ok := c.Get(cache.Key{Tenant: "tenant-a", Epoch: newEpoch, Kind: kind}); !ok {
-			t.Fatalf("commit did not publish a prewarmed %q entry at epoch %d", kind, newEpoch)
-		}
-		if _, ok := c.Get(cache.Key{Tenant: "tenant-a", Epoch: newEpoch - 1, Kind: kind}); ok {
-			t.Fatalf("retired epoch's %q entry survived the commit", kind)
-		}
+	if _, ok := c.Get(cache.Key{Tenant: "tenant-a", Epoch: newEpoch}); !ok {
+		t.Fatalf("commit did not publish a prewarmed entry at epoch %d", newEpoch)
+	}
+	if _, ok := c.Get(cache.Key{Tenant: "tenant-a", Epoch: newEpoch - 1}); ok {
+		t.Fatal("retired epoch's entry survived the commit")
 	}
 
 	missesBefore := c.Stats().Misses
-	if !p1.BatchWarm() {
-		t.Fatal("commit did not install a warm batch session")
-	}
-	got, stats, err := DecryptBatch(p1, p2, cs)
+	got, stats, err := decryptAll(p1, p2, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBatch(t, got, ms)
-	if stats.BytesP1 != 0 || stats.BytesP2 != 0 {
-		t.Fatalf("first post-rotation batch used the channel (%d/%d bytes); want a fully local warm batch",
-			stats.BytesP1, stats.BytesP2)
+	checkMessages(t, got, ms)
+	if stats.BytesP1 == 0 || stats.BytesP2 == 0 {
+		t.Fatal("first post-rotation decryption skipped the round trip with P2")
 	}
 	if c.Stats().Misses != missesBefore {
-		t.Fatal("first post-rotation batch missed the cache — prewarm did not take")
-	}
-
-	// The per-request path must also be warm: RunDec replays the staged
-	// transport tables rather than rebuilding them.
-	m2, _ := RandMessage(rand.Reader, pk)
-	ct2, _ := Encrypt(rand.Reader, pk, m2, nil)
-	gotOne, _, err := Decrypt(rand.Reader, p1, p2, ct2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gotOne.Equal(m2) {
-		t.Fatal("per-request decrypt wrong after prewarmed rotation")
-	}
-	if c.Stats().Misses != missesBefore {
-		t.Fatal("per-request path missed the cache after prewarmed rotation")
+		t.Fatal("first post-rotation decryption missed the cache — prewarm did not take")
 	}
 }
 
@@ -211,47 +184,6 @@ func TestStagedRefreshStaleness(t *testing.T) {
 	st3.Abandon()
 	if err := p1.CommitRefresh(rand.Reader, nil, st3); err == nil {
 		t.Fatal("abandoned staged refresh committed")
-	}
-}
-
-// TestBatchSessionSkipsRoundTrip pins the steady-state transport
-// contract: only the first batch of an epoch touches the device
-// channel; every later batch of the epoch has an empty transcript, and
-// a rotation re-arms exactly one round trip.
-func TestBatchSessionSkipsRoundTrip(t *testing.T) {
-	pk, p1, p2 := genTest(t, params.ModeOptimalRate)
-	cs, ms := encryptN(t, pk, 2)
-
-	got, stats, err := DecryptBatch(p1, p2, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBatch(t, got, ms)
-	if stats.BytesP1 == 0 {
-		t.Fatal("cold batch sent nothing — expected the u round trip")
-	}
-
-	got, stats, err = DecryptBatch(p1, p2, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBatch(t, got, ms)
-	if stats.BytesP1 != 0 || stats.BytesP2 != 0 {
-		t.Fatalf("warm batch used the channel (%d/%d bytes)", stats.BytesP1, stats.BytesP2)
-	}
-
-	// A cold rotation drops the session: the next batch must do the
-	// round trip again (fresh u under the rotated shares).
-	if _, err := Refresh(rand.Reader, p1, p2); err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err = DecryptBatch(p1, p2, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBatch(t, got, ms)
-	if stats.BytesP1 == 0 {
-		t.Fatal("post-rotation batch skipped the round trip — stale session survived")
 	}
 }
 

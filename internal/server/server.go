@@ -1,11 +1,10 @@
-// Package server implements the long-lived P1-side daemon of ROADMAP
-// item 2: many client sessions multiplexed over the internal/wire
-// framing, all concurrent decrypt requests coalesced into per-tenant
-// adaptive batch windows, and every window drained through one
-// dlr.RunDecBatch round trip against the tenant's device channel — the
-// cross-connection continuous-batching that turns PR 3's ~30×
-// single-caller amortization into a property of the service rather
-// than of one caller's batch.
+// Package server implements the long-lived P1-side decrypt daemon:
+// many client sessions multiplexed over the internal/wire framing, all
+// concurrent decrypt requests coalesced into per-tenant adaptive batch
+// windows, and every request in a window decrypted through the paper's
+// two-party Dec protocol (dlr.RunDec, one device round trip each)
+// against the tenant's device channel. P1 never decrypts alone: every
+// answer carries P2's contribution.
 //
 // Dataflow (docs/ARCHITECTURE.md has the diagram):
 //
@@ -13,7 +12,7 @@
 //	    │ bounded per-tenant queue — full ⇒ srv.busy + retry-after
 //	    ▼
 //	per-tenant window loop — closes on max(batch size, deadline)
-//	    │ one RunDecBatch round trip per window
+//	    │ one RunDec round trip per request, in window order
 //	    ▼
 //	device channel to P2 ──► results fan back to their sessions,
 //	                         out of order, routed by request id
@@ -78,14 +77,8 @@ type Config struct {
 	RetryAfter time.Duration
 	// CacheCap, when positive, attaches a shared rotation-aware table
 	// cache (internal/cache) of that capacity to every registered
-	// tenant's P1, so consecutive windows of one epoch replay the same
-	// pairing tables.
+	// tenant's P1, which publishes each epoch's transport tables there.
 	CacheCap int
-	// Serial bypasses the batch windows and serves every request
-	// through the per-request protocol (dlr.RunDec, one round trip per
-	// request) — the pre-batching baseline the E16 experiment measures
-	// the windows against.
-	Serial bool
 	// RefreshEvery, when positive, runs a per-tenant rotation scheduler:
 	// every tenant's shares are refreshed on this cadence without any
 	// client asking (the paper's leakage bounds are per-period, so a
@@ -95,7 +88,7 @@ type Config struct {
 	// ColdRefresh reverts RefreshTenant (and the scheduler) to the
 	// serialized rotation path — the full RunRef + BeginPeriod executed
 	// between windows, with every table rebuilt by the first
-	// post-rotation batch. Default false: rotations are pipelined, with
+	// post-rotation request. Default false: rotations are pipelined, with
 	// next-epoch state staged and tables prewarmed concurrently with
 	// serving, and only the commit round trip quiescing the window
 	// loop. The cold path is kept for the E17 comparison and as an
@@ -298,18 +291,18 @@ func (s *Server) QueueDepth() int {
 // every other tenant and — on the default pipelined path — near-zero
 // stall for the tenant itself.
 //
-// Pipelined (default): the next-epoch share material and its pairing
+// Pipelined (default): the next-epoch share material and its transport
 // tables are staged by dlr.P1.StageRefresh concurrently with serving
 // (staging only reads share state, which mutates exclusively on the
 // window loop, and refreshMu excludes competing rotations). Only the
 // commit — one device round trip plus an atomic state flip — runs on
 // the window loop between batch windows, so the serving stall is the
 // commit's duration, not the full rebuild's. The first post-commit
-// window finds prewarmed tables and a warm batch session.
+// window finds its transport tables prewarmed.
 //
 // Cold (Config.ColdRefresh): the full RunRef + BeginPeriod executes on
 // the window loop, stalling the tenant for the whole rotation and
-// leaving every table to be rebuilt by the first post-rotation batch.
+// leaving every table to be rebuilt by the first post-rotation request.
 func (s *Server) RefreshTenant(name string) error {
 	t, ok := s.tenants.Get(name)
 	if !ok {

@@ -2,10 +2,12 @@ package server_test
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -138,36 +140,6 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServerSerialMode checks the per-request baseline path the E16
-// experiment measures the windows against.
-func TestServerSerialMode(t *testing.T) {
-	pk, p1, p2 := testInstance(t)
-	s := server.New(server.Config{Serial: true})
-	if err := s.RegisterLocal("alice", p1, p2); err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, s)
-	c := dialClient(t, addr)
-
-	msgs, cts := encryptN(t, pk, 3)
-	for i := range cts {
-		got, err := c.Decrypt("alice", cts[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(msgs[i]) {
-			t.Fatalf("request %d decrypted wrong", i)
-		}
-	}
-	m := s.Metrics().Snapshot()
-	if m.Windows != 3 {
-		t.Fatalf("serial mode: windows = %d, want 3 (one per request)", m.Windows)
-	}
-	if m.MeanOccupancy != 1 {
-		t.Fatalf("serial mode: mean occupancy = %v, want 1", m.MeanOccupancy)
-	}
-}
-
 // TestServerMultiTenant checks that two tenants' requests route to
 // their own share state over one connection.
 func TestServerMultiTenant(t *testing.T) {
@@ -248,6 +220,69 @@ type gatedChannel struct {
 func (g *gatedChannel) Send(m wire.Msg) error {
 	<-g.gate
 	return g.Channel.Send(m)
+}
+
+// cutChannel fails every send once cut is set — a device link that
+// has gone away. It is a stand-in for an attacker who has compromised
+// P1 and can keep P2 out of the exchange.
+type cutChannel struct {
+	device.Channel
+	cut atomic.Bool
+}
+
+func (c *cutChannel) Send(m wire.Msg) error {
+	if c.cut.Load() {
+		return errors.New("device link cut")
+	}
+	return c.Channel.Send(m)
+}
+
+// TestWarmP1CannotDecryptAlone pins the paper's two-device guarantee on
+// the path the server runs: however warm P1 is, a decryption needs P2.
+// Once the device link is cut, the next decrypt must fail rather than
+// be answered from state P1 kept from earlier round trips — neither
+// after two served decrypts, nor right after a pipelined rotation
+// (whose commit round trip is the last thing P1 saw from P2).
+func TestWarmP1CannotDecryptAlone(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		rotate bool
+	}{
+		{name: "warm"},
+		{name: "rotated", rotate: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pk, p1, p2 := testInstance(t)
+			a, b := device.NewLocalPair()
+			go func() { _ = p2.ServeLoop(b) }()
+			dev := &cutChannel{Channel: a}
+			s := server.New(server.Config{CacheCap: 8})
+			if err := s.RegisterTenant("alice", p1, dev, a.Close); err != nil {
+				t.Fatal(err)
+			}
+			c := dialClient(t, startServer(t, s))
+
+			msgs, cts := encryptN(t, pk, 3)
+			for i := 0; i < 2; i++ {
+				got, err := c.Decrypt("alice", cts[i])
+				if err != nil {
+					t.Fatalf("decrypt %d with the device attached: %v", i, err)
+				}
+				if !got.Equal(msgs[i]) {
+					t.Fatalf("decrypt %d: wrong plaintext", i)
+				}
+			}
+			if tc.rotate {
+				if err := s.RefreshTenant("alice"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dev.cut.Store(true)
+			if got, err := c.Decrypt("alice", cts[2]); err == nil {
+				t.Fatalf("P1 decrypted without P2 (plaintext correct: %v)", got.Equal(msgs[2]))
+			}
+		})
+	}
 }
 
 // TestServerBackpressure fills a depth-1 queue behind a stalled window

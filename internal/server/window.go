@@ -4,7 +4,7 @@ import (
 	"crypto/rand"
 	"time"
 
-	"repro/internal/dlr"
+	"repro/internal/bn254"
 )
 
 // windowLoop is the single goroutine that owns a tenant's P1 and
@@ -32,39 +32,25 @@ func (s *Server) windowLoop(t *tenant) {
 
 // serveWindow collects one adaptive batch window — it closes when
 // either BatchSize requests have coalesced or Window has elapsed since
-// the first request — and drains it through one RunDecBatch round
-// trip. In Serial mode the window degenerates to the single triggering
-// request served through the per-request protocol, the baseline E16
-// measures the windows against.
+// the first request — and drains it through the paper's Dec protocol,
+// one dlr.RunDec round trip per request, in arrival order. Every
+// decryption needs P2's combination; P1 alone cannot answer one.
+//
+// A failed round trip may leave the device channel mid-exchange, so
+// the rest of the window is not sent on it: those requests fail with
+// the same error.
 func (s *Server) serveWindow(t *tenant, first *request) {
-	if s.cfg.Serial {
-		m, err := t.p1.RunDec(rand.Reader, t.dev, first.ct)
-		s.metrics.recordWindow(1)
-		first.respond(m, err)
-		flushSessions([]*request{first})
-		return
-	}
-
 	batch := append(make([]*request, 0, s.cfg.BatchSize), first)
 	batch = s.collect(t, batch)
-
-	cs := make([]*dlr.Ciphertext, len(batch))
-	for i, req := range batch {
-		cs[i] = req.ct
-	}
-	ms, err := t.p1.RunDecBatch(t.dev, cs)
 	s.metrics.recordWindow(len(batch))
-	if err != nil {
-		// The whole round trip failed; every request in the window
-		// learns why.
-		for _, req := range batch {
-			req.respond(nil, err)
+
+	var err error
+	for _, req := range batch {
+		var m *bn254.GT
+		if err == nil {
+			m, err = t.p1.RunDec(rand.Reader, t.dev, req.ct)
 		}
-		flushSessions(batch)
-		return
-	}
-	for i, req := range batch {
-		req.respond(ms[i], nil)
+		req.respond(m, err)
 	}
 	flushSessions(batch)
 }

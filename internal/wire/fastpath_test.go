@@ -107,7 +107,6 @@ func TestZeroLengthKind(t *testing.T) {
 func TestInternKind(t *testing.T) {
 	for _, k := range []string{
 		"dlr.dec1", "dlr.dec2", "dlr.ref1", "dlr.ref2",
-		"dlr.decb1", "dlr.decb2", "dlr.refp1", "dlr.refp2",
 		"srv.dec", "srv.decr", "srv.busy", "srv.err", "srv.ref", "srv.refr",
 	} {
 		if got := internKind([]byte(k)); got != k {

@@ -151,14 +151,6 @@ func internKind(b []byte) string {
 		return "dlr.ref1"
 	case "dlr.ref2":
 		return "dlr.ref2"
-	case "dlr.decb1":
-		return "dlr.decb1"
-	case "dlr.decb2":
-		return "dlr.decb2"
-	case "dlr.refp1":
-		return "dlr.refp1"
-	case "dlr.refp2":
-		return "dlr.refp2"
 	case "srv.dec":
 		return "srv.dec"
 	case "srv.decr":
